@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import PhaseCode, code_key, format_code, parse_code, random_codes
-from .fitness import FitnessCache, FitnessScore, fitness, fitness_batch
-from .ga import GenerationStats, RunResult
+from .codes import PhaseCode, format_code, parse_code, random_codes
+from .fitness import FitnessCache, fitness, fitness_batch
+from .ga import GenerationStats, RunResult, score_codes
 
 # Hard cap for exhaustive enumeration.
 _BRUTE_FORCE_MAX_N = 20
@@ -170,30 +170,13 @@ def random_search(
         while done < mark:
             m = min(4096, mark - done)
             codes = random_codes(m, N, rng)
-            new_rows: list[int] = []
-            seen: set[bytes] = set()
-            for idx in range(m):
-                k = cache.key(codes[idx])
-                if cache.get(codes[idx]) is None and k not in seen:
-                    new_rows.append(idx)
-                    seen.add(k)
-            if new_rows:
-                gammas = fitness_batch(codes[new_rows], threads=threads)
-                for idx, g in zip(new_rows, gammas):
-                    score = (
-                        FitnessScore(float(g))
-                        if np.isfinite(g)
-                        else FitnessScore(float("nan"), False)
-                    )
-                    cache.store(codes[idx], score)
-            cache.hit_count += m - len(new_rows)
-            for idx in range(m):
-                score = cache.get(codes[idx])
-                g = score.gamma if score.defined else float("-inf")
-                gamma_sum += g if np.isfinite(g) else 0.0
-                if g > best_gamma:
-                    best_gamma = g
-                    best_code = codes[idx].copy()
+            gammas = score_codes(codes, cache, threads=threads)
+            for g in gammas[np.isfinite(gammas)].tolist():
+                gamma_sum += g  # sequential, so the logged mean is reproducible
+            top = int(np.argmax(gammas))
+            if gammas[top] > best_gamma:
+                best_gamma = float(gammas[top])
+                best_code = codes[top].copy()
             done += m
         history.append(
             GenerationStats(

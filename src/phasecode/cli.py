@@ -17,6 +17,7 @@ import csv
 import platform
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -89,16 +90,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_ga_config(args, seed_codes=()) -> GaConfig:
-    values = {
-        "N": 59,
-        "N_G": 200,
-        "P": 10_000,
-        "E": 2_000,
-        "M": 5,
-        "p_muta": 0.3,
-        "p_conv": 0.3,  # keep rate; the published 0.7 is the drop rate
-        "seed": 0,
-    }
+    values = {f.name: f.default for f in fields(GaConfig) if f.name != "seed_codes"}
     if getattr(args, "config", None):
         values.update(_load_config_file(args.config))
     for key in values:

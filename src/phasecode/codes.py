@@ -43,9 +43,39 @@ def as_code(values) -> PhaseCode:
     return code
 
 
+def _packed_keys(codes: np.ndarray) -> np.ndarray:
+    """One void scalar per row of a (B, N) code matrix: the packed sign bits.
+
+    A 1 stop bit follows the N symbol bits, so the zero padding of the last
+    byte cannot make a code collide with the same code extended by -1
+    symbols: the key is one-to-one across code lengths.
+    """
+    b, n = codes.shape
+    bits = np.ones((b, n + 1), dtype=bool)
+    bits[:, :n] = codes > 0
+    packed = np.packbits(bits, axis=1)
+    return packed.view(f"V{packed.shape[1]}")[:, 0]
+
+
 def code_key(s: np.ndarray) -> bytes:
-    """Canonical hashable key for a code (exact symbol sequence)."""
-    return np.ascontiguousarray(s, dtype=CODE_DTYPE).tobytes()
+    """Canonical hashable key for a code (exact symbol sequence); see ``unique_rows``."""
+    return _packed_keys(np.asarray(s)[None, :])[0].tobytes()
+
+
+def unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a (B, N) code matrix, numbered in order of first occurrence.
+
+    Returns ``keys`` (the ``code_key`` bytes of each distinct row, as a void
+    array), ``first`` (ascending index of each distinct row's first
+    occurrence) and ``inverse`` (the distinct-row number of every row), so
+    ``codes[first][inverse]`` equals ``codes``.
+    """
+    packed = _packed_keys(codes)
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return packed[first[order]], first[order], rank[inverse]
 
 
 def shifted(s: PhaseCode, i: int) -> np.ndarray:

@@ -123,7 +123,12 @@ def _fitness_chunk(codes: np.ndarray) -> np.ndarray:
     for d in range(1, n):
         r[:, d] = np.einsum("bi,bi->b", S[:, : n - d], S[:, d:])
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    R = r[:, idx] - S[:, :, None] * S[:, None, :]
+    # R is built in place and dropped once factored: at most two (B, N, N)
+    # arrays are alive at a time. ``take`` keeps each matrix contiguous (the
+    # equivalent ``r[:, idx]`` puts the batch axis innermost, which slows the
+    # Cholesky several-fold).
+    R = np.take(r, idx, axis=1)
+    R -= S[:, :, None] * S[:, None, :]
     try:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
@@ -133,6 +138,7 @@ def _fitness_chunk(codes: np.ndarray) -> np.ndarray:
             score = fitness(codes[k])
             out[k] = score.gamma if score.defined else np.nan
         return out
+    del R
     z = np.linalg.solve(L, S[:, :, None])[:, :, 0]
     return np.einsum("bi,bi->b", z, z)
 
@@ -156,46 +162,43 @@ def fitness_batch(codes: np.ndarray, threads: int = 1) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _score_from_gamma(gamma: float) -> FitnessScore:
-    return FitnessScore(float(gamma)) if np.isfinite(gamma) else UNDEFINED_SCORE
-
-
 @dataclass
 class FitnessCache:
-    """Score store keyed by exact symbol sequence; counts distinct evaluations.
+    """Gamma store keyed by ``code_key`` (exact symbol sequence); counts distinct evaluations.
 
+    ``gammas`` maps a packed key to its gamma, NaN when undefined.
     ``miss_count`` is the number of distinct codes ever evaluated through the
-    cache, the "visited states" metric. With ``fold_negation`` a code and its
-    negation share one entry (off by default: exact-sequence counting is the
-    conservative reading of visited states).
+    cache, the "visited states" metric; a code and its negation are two
+    states. Inserts take ``_lock``, so ``cached_fitness`` may be called from
+    several threads.
     """
 
-    fold_negation: bool = False
-    _scores: dict[bytes, FitnessScore] = field(default_factory=dict)
+    gammas: dict[bytes, float] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     miss_count: int = 0
     hit_count: int = 0
 
-    def key(self, s: np.ndarray) -> bytes:
-        if self.fold_negation and s[0] < 0:
-            return code_key(-np.asarray(s))
-        return code_key(s)
-
     def get(self, s: np.ndarray) -> FitnessScore | None:
-        return self._scores.get(self.key(s))
+        gamma = self.gammas.get(code_key(s))
+        if gamma is None:
+            return None
+        return UNDEFINED_SCORE if np.isnan(gamma) else FitnessScore(gamma)
 
     def store(self, s: np.ndarray, score: FitnessScore) -> bool:
         """Insert unless present; returns True when the code was new."""
-        k = self.key(s)
+        return self.add(code_key(s), score.gamma if score.defined else float("nan"))
+
+    def add(self, key: bytes, gamma: float) -> bool:
+        """``store`` by packed key and raw gamma (NaN when undefined)."""
         with self._lock:
-            if k in self._scores:
+            if key in self.gammas:
                 return False
-            self._scores[k] = score
+            self.gammas[key] = gamma
             self.miss_count += 1
             return True
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return len(self.gammas)
 
 
 def cached_fitness(cache: FitnessCache, s: PhaseCode) -> tuple[FitnessScore, bool]:

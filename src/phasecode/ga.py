@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .codes import CODE_DTYPE, PhaseCode, as_code, code_key, random_codes
-from .fitness import FitnessCache, FitnessScore, fitness_batch
+from .codes import CODE_DTYPE, PhaseCode, as_code, random_codes, unique_rows
+from .fitness import FitnessCache, fitness_batch
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class GaConfig:
     p_conv: float = 0.3
     seed: int = 0
     seed_codes: tuple = ()
-    # Interpretation knobs (defaults match the plain reading of the pipeline).
-    distinct_parents: bool = False
-    per_symbol_mutation: bool = False
-    fold_cache_negation: bool = False
 
     def validate(self) -> None:
         if self.N < 2:
@@ -89,15 +85,6 @@ class Population:
     def size(self) -> int:
         return self.codes.shape[0]
 
-    def scores(self) -> list[FitnessScore]:
-        """Per-member scores in spec form (gamma, defined)."""
-        if self.gammas is None:
-            raise ValueError("population not evaluated yet")
-        return [
-            FitnessScore(g) if np.isfinite(g) else FitnessScore(float("nan"), False)
-            for g in self.gammas
-        ]
-
 
 @dataclass(frozen=True)
 class GenerationStats:
@@ -131,30 +118,31 @@ def init_population(config: GaConfig, rng: np.random.Generator) -> Population:
     return Population(generation=0, codes=codes)
 
 
-def evaluate(pop: Population, cache: FitnessCache, threads: int = 1) -> Population:
-    """Fill every score through the cache; only distinct new codes are computed.
+def score_codes(codes: np.ndarray, cache: FitnessCache, threads: int = 1) -> np.ndarray:
+    """Gammas of a (B, N) code matrix through the cache, -inf where undefined.
 
-    Batch equivalent of calling ``cached_fitness`` per member: identical cache
-    contents and counters, one vectorized solve for the distinct misses.
+    Batch equivalent of calling ``cached_fitness`` per row: identical cache
+    contents and counters. The distinct codes the cache has not seen are
+    scored in one ``fitness_batch`` call, in order of first occurrence.
     """
-    keys = [cache.key(row) for row in pop.codes]
-    new_rows: list[int] = []
-    new_keys: set[bytes] = set()
-    for idx, k in enumerate(keys):
-        if cache.get(pop.codes[idx]) is None and k not in new_keys:
-            new_rows.append(idx)
-            new_keys.add(k)
-    if new_rows:
-        gammas = fitness_batch(pop.codes[new_rows], threads=threads)
-        for idx, g in zip(new_rows, gammas):
-            score = FitnessScore(float(g)) if np.isfinite(g) else FitnessScore(float("nan"), False)
-            cache.store(pop.codes[idx], score)
-    cache.hit_count += pop.size - len(new_rows)
-    out = np.empty(pop.size)
-    for idx in range(pop.size):
-        score = cache.get(pop.codes[idx])
-        out[idx] = score.gamma if score.defined else float("-inf")
-    pop.gammas = out
+    keys, first, inverse = unique_rows(codes)
+    keys = keys.tolist()
+    gammas = [cache.gammas.get(k) for k in keys]
+    new = [i for i, g in enumerate(gammas) if g is None]
+    if new:
+        fresh = fitness_batch(codes[first[new]], threads=threads).tolist()
+        for i, g in zip(new, fresh):
+            cache.add(keys[i], g)
+            gammas[i] = g
+    cache.hit_count += codes.shape[0] - len(new)
+    out = np.array(gammas, dtype=np.float64)
+    out[np.isnan(out)] = float("-inf")
+    return out[inverse]
+
+
+def evaluate(pop: Population, cache: FitnessCache, threads: int = 1) -> Population:
+    """Fill every score through the cache (``score_codes``)."""
+    pop.gammas = score_codes(pop.codes, cache, threads=threads)
     return pop
 
 
@@ -278,17 +266,15 @@ def mutate(s: PhaseCode, p_muta: float, rng: np.random.Generator) -> PhaseCode:
 def prevent_early_convergence(
     codes: np.ndarray | Sequence[PhaseCode], p_conv: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Thin duplicate codes: first occurrence kept, later ones kept w.p. p_conv."""
+    """Thin duplicate codes: first occurrence kept, later ones kept w.p. p_conv.
+
+    Draws one uniform per repeat, in index order.
+    """
     arr = np.asarray(codes)
-    seen: set[bytes] = set()
-    keep: list[int] = []
-    for idx in range(arr.shape[0]):
-        k = code_key(arr[idx])
-        if k not in seen:
-            seen.add(k)
-            keep.append(idx)
-        elif rng.random() < p_conv:
-            keep.append(idx)
+    keep = np.zeros(arr.shape[0], dtype=bool)
+    keep[unique_rows(arr)[1]] = True
+    repeats = np.nonzero(~keep)[0]
+    keep[repeats] = rng.random(repeats.size) < p_conv
     return arr[keep]
 
 
@@ -302,33 +288,19 @@ def pad_population(codes: np.ndarray, P: int, rng: np.random.Generator) -> np.nd
     return np.concatenate([codes, random_codes(P - count, codes.shape[1], rng)])
 
 
-def _crossover_batch(
-    pool: np.ndarray, count: int, rng: np.random.Generator, distinct_parents: bool
-) -> np.ndarray:
+def _crossover_batch(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` children from uniformly drawn parent pairs and split points."""
     size, n = pool.shape
     ia = rng.integers(0, size, size=count)
     ib = rng.integers(0, size, size=count)
-    if distinct_parents:
-        while True:
-            clash = np.nonzero(ia == ib)[0]
-            if clash.size == 0:
-                break
-            ib[clash] = rng.integers(0, size, size=clash.size)
     splits = rng.integers(1, n, size=count)
     cols = np.arange(n)[None, :]
     return np.where(cols < splits[:, None], pool[ia], pool[ib]).astype(CODE_DTYPE)
 
 
-def _mutate_batch(
-    children: np.ndarray, p_muta: float, rng: np.random.Generator, per_symbol: bool
-) -> np.ndarray:
+def _mutate_batch(children: np.ndarray, p_muta: float, rng: np.random.Generator) -> np.ndarray:
     """In-place mutation of a (B, N) child matrix; returns it."""
     count, n = children.shape
-    if per_symbol:
-        flips = rng.random(size=(count, n)) < p_muta
-        children[flips] *= -1
-        return children
     gate = rng.random(size=count) < p_muta
     rows = np.nonzero(gate)[0]
     pos = rng.integers(0, n, size=rows.size)
@@ -355,8 +327,8 @@ def step_generation(
     elites = elite_select(pop, E)
     winners = tournament_select(pop, config.M, P - E, rng)
     pool = np.concatenate([winners, elites])
-    children = _crossover_batch(pool, P - E, rng, config.distinct_parents)
-    children = _mutate_batch(children, config.p_muta, rng, config.per_symbol_mutation)
+    children = _crossover_batch(pool, P - E, rng)
+    children = _mutate_batch(children, config.p_muta, rng)
     candidate = np.concatenate([children, elites])
     kept = prevent_early_convergence(candidate, config.p_conv, rng)
     codes = pad_population(kept, P, rng)
@@ -368,12 +340,11 @@ def _population_stats(
     pop: Population, cache: FitnessCache, t0: float
 ) -> GenerationStats:
     finite = pop.gammas[np.isfinite(pop.gammas)]
-    distinct = len({code_key(row) for row in pop.codes})
     return GenerationStats(
         k=pop.generation,
         best_gamma=float(pop.gammas.max()),
         mean_gamma=float(finite.mean()) if finite.size else float("nan"),
-        distinct_members=distinct,
+        distinct_members=len(unique_rows(pop.codes)[1]),
         visited_states=cache.miss_count,
         elapsed_seconds=time.perf_counter() - t0,
     )
@@ -393,7 +364,7 @@ def run(
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    cache = FitnessCache(fold_negation=config.fold_cache_negation)
+    cache = FitnessCache()
     t0 = time.perf_counter()
 
     pop = evaluate(init_population(config, rng), cache, threads=threads)

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phasecode.codes import (
     ParseError,
     as_code,
     autocorrelation,
+    code_key,
     cross_correlation,
     format_code,
     legendre_code,
@@ -14,6 +18,7 @@ from phasecode.codes import (
     random_code,
     random_codes,
     shifted,
+    unique_rows,
 )
 
 
@@ -196,3 +201,40 @@ class TestAsCode:
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             as_code([[1, -1], [1, 1]])
+
+
+def _code_blocks():
+    """(B, N) int8 code blocks, B up to 40, drawn from a few distinct rows so repeats are common."""
+
+    def block(shape):
+        b, n, pool = shape
+        rows = arrays(np.int8, (pool, n), elements=st.sampled_from([-1, 1]))
+        picks = st.lists(st.integers(0, pool - 1), min_size=b, max_size=b)
+        return st.tuples(rows, picks).map(lambda rp: rp[0][rp[1]].reshape(b, n))
+
+    return st.tuples(st.integers(0, 40), st.integers(2, 20), st.integers(1, 6)).flatmap(block)
+
+
+class TestUniqueRows:
+    @settings(max_examples=200, deadline=None)
+    @given(_code_blocks())
+    def test_matches_dict_of_bytes_reference(self, codes):
+        order: dict[bytes, int] = {}
+        ref_first, ref_inverse = [], []
+        for idx, row in enumerate(codes):
+            k = row.tobytes()
+            if k not in order:
+                order[k] = len(order)
+                ref_first.append(idx)
+            ref_inverse.append(order[k])
+        keys, first, inverse = unique_rows(codes)
+        assert first.tolist() == ref_first
+        assert inverse.tolist() == ref_inverse
+        assert keys.tolist() == [code_key(codes[i]) for i in ref_first]
+        assert np.array_equal(codes[first][inverse], codes)
+
+    def test_key_is_one_to_one_across_lengths(self):
+        s = random_code(9, np.random.default_rng(30))
+        longer = np.append(s, -1).astype(np.int8)
+        assert code_key(s) != code_key(longer)
+        assert code_key(s) != code_key(np.append(longer, -1))

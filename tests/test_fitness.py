@@ -252,15 +252,6 @@ class TestFitnessCache:
         assert cache.miss_count == 4096
         assert len(cache) == 4096
 
-    def test_negation_fold_flag(self):
-        cache = FitnessCache(fold_negation=True)
-        rng = np.random.default_rng(1)
-        s = random_code(16, rng)
-        cached_fitness(cache, s)
-        _, was_new = cached_fitness(cache, as_code(-s))
-        assert not was_new
-        assert cache.miss_count == 1
-
     def test_exact_keys_by_default(self):
         cache = FitnessCache()
         rng = np.random.default_rng(1)

@@ -18,6 +18,7 @@ from phasecode.ga import (
     pad_population,
     prevent_early_convergence,
     run,
+    score_codes,
     step_generation,
     survival_probability,
     tournament_indices,
@@ -375,6 +376,47 @@ class TestPreventEarlyConvergence:
         draw = np.random.default_rng(23)
         kept = [prevent_early_convergence(block, 0.7, draw).shape[0] for _ in range(20_000)]
         assert float(np.mean(kept)) == pytest.approx(8.0, abs=0.05)
+
+    @pytest.mark.parametrize("p_conv", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("rows,pool", [(0, 1), (1, 1), (200, 3), (500, 40), (64, 64)])
+    def test_matches_per_row_loop(self, p_conv, rows, pool):
+        def reference(arr, p_conv, rng):
+            seen, keep = set(), []
+            for idx in range(arr.shape[0]):
+                k = arr[idx].tobytes()
+                if k not in seen:
+                    seen.add(k)
+                    keep.append(idx)
+                elif rng.random() < p_conv:
+                    keep.append(idx)
+            return arr[keep]
+
+        rng = np.random.default_rng(24 + rows)
+        distinct = np.stack([random_code(10, rng) for _ in range(pool)])
+        block = distinct[rng.integers(0, pool, size=rows)]
+        ref_rng, rng = np.random.default_rng(25), np.random.default_rng(25)
+        expected = reference(block, p_conv, ref_rng)
+        assert np.array_equal(prevent_early_convergence(block, p_conv, rng), expected)
+        assert rng.random() == ref_rng.random()
+
+
+class TestScoreCodes:
+    def test_matches_per_row_cached_fitness(self):
+        rng = np.random.default_rng(26)
+        distinct = np.stack([random_code(12, rng) for _ in range(30)])
+        cache = FitnessCache()
+        seen = set()
+        for _ in range(3):
+            block = distinct[rng.integers(0, 30, size=50)]
+            before = cache.miss_count
+            gammas = score_codes(block, cache)
+            for row, g in zip(block, gammas):
+                assert g == pytest.approx(fitness(row).gamma, rel=1e-12)
+            new = {r.tobytes() for r in block} - seen
+            seen |= new
+            assert cache.miss_count - before == len(new)
+        assert cache.miss_count == len(seen)
+        assert cache.hit_count == 150 - len(seen)
 
 
 class TestPadPopulation:
