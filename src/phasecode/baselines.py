@@ -21,6 +21,10 @@ from .ga import GenerationStats, RunResult, score_codes
 # Hard cap for exhaustive enumeration.
 _BRUTE_FORCE_MAX_N = 20
 
+# Relative gap within which brute force treats two gammas as tied: well
+# above the few-ulp (about 1e-14) rounding split of symmetric codes.
+_TIE_RTOL = 1e-12
+
 _SOURCE_LEGENDRE = "Legendre sequence, N=59"
 _SOURCE_ALPHA = "AlphaSeq (deep reinforcement learning search)"
 _SOURCE_HPGAN = "HpGAN (generative adversarial search)"
@@ -208,22 +212,38 @@ def _chunk_codes(N: int, lo: int, hi: int) -> np.ndarray:
     return codes
 
 
+def _symmetry_orbit(code: np.ndarray) -> np.ndarray:
+    """The 8 codes that share the gamma of ``code``: negation x reversal x alternation.
+
+    Alternation s[n] -> (-1)^n s[n] maps R to D R D with D = diag((-1)^n),
+    which leaves s^T R^{-1} s unchanged.
+    """
+    alt = np.where(np.arange(code.size) % 2, -1, 1).astype(code.dtype)
+    base = np.stack([code, code[::-1]])
+    base = np.concatenate([base, base * alt])
+    return np.concatenate([base, -base])
+
+
 def brute_force_best(
     N: int, fold_reversal: bool = False, threads: int = 1
 ) -> tuple[PhaseCode, float]:
     """Exact argmax of fitness over all bipolar codes of length N.
 
     Enumerates one representative per negation pair (fitness is exactly even
-    in the code), optionally also folding the (likewise exact) reversal
-    symmetry. Ties resolve to the lexicographically smallest optimal code
-    with -1 ordered before +1, independent of enumeration order.
+    in the code), optionally also folding the reversal symmetry. Ties
+    resolve to the lexicographically smallest optimal code with -1 ordered
+    before +1, independent of enumeration order. Symmetric codes tie
+    exactly, but rounding splits their gammas by a few ulps, so every code
+    within ``_TIE_RTOL`` of the best gamma counts as tied and is expanded
+    through its ``_symmetry_orbit``. Returns that code and the best gamma.
     """
     if not 2 <= N <= _BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force supports 2 <= N <= {_BRUTE_FORCE_MAX_N}, got {N}")
     total = 1 << (N - 1)
     chunk = 8192
     best_gamma = float("-inf")
-    best_reps: list[np.ndarray] = []
+    near_codes: list[np.ndarray] = []
+    near_gammas: list[np.ndarray] = []
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         codes = _chunk_codes(N, lo, hi)
@@ -237,21 +257,17 @@ def brute_force_best(
                 continue
         gammas = fitness_batch(codes, threads=threads)
         gammas = np.where(np.isfinite(gammas), gammas, float("-inf"))
-        top = float(gammas.max())
-        if top > best_gamma:
-            best_gamma = top
-            best_reps = [codes[i].copy() for i in np.nonzero(gammas == top)[0]]
-        elif top == best_gamma:
-            best_reps.extend(codes[i].copy() for i in np.nonzero(gammas == top)[0])
-    candidates: list[np.ndarray] = []
-    for rep in best_reps:
-        candidates.append(rep)
-        candidates.append(-rep)
-        if fold_reversal:
-            candidates.append(rep[::-1].copy())
-            candidates.append(-rep[::-1].copy())
-    best = min(candidates, key=lambda c: tuple(int(v) for v in c))
-    return best.astype(np.int8), best_gamma
+        best_gamma = max(best_gamma, float(gammas.max()))
+        # Every defined gamma is > 0, so this keeps the near-ties of the best.
+        near = gammas >= best_gamma * (1 - _TIE_RTOL)
+        near_codes.append(codes[near])
+        near_gammas.append(gammas[near])
+    tied = np.concatenate(near_codes)[
+        np.concatenate(near_gammas) >= best_gamma * (1 - _TIE_RTOL)
+    ]
+    candidates = np.concatenate([_symmetry_orbit(c) for c in tied])
+    best = min(candidates.tolist())  # lists compare lexicographically
+    return np.array(best, dtype=np.int8), best_gamma
 
 
 def _lex_less_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

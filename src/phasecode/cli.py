@@ -69,8 +69,10 @@ def derive_sweep_seed(seed: int, N: int) -> int:
 def _load_config_file(path: str) -> dict:
     """Flat key=value config text; '#' starts a comment."""
     values: dict[str, object] = {}
-    int_keys = {"N", "N_G", "P", "E", "M", "seed"}
-    float_keys = {"p_muta", "p_conv"}
+    # Every scalar GaConfig field is a key, parsed as the type of its default.
+    key_types = {
+        f.name: type(f.default) for f in fields(GaConfig) if type(f.default) in (int, float)
+    }
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,12 +82,9 @@ def _load_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key in int_keys:
-            values[key] = int(val)
-        elif key in float_keys:
-            values[key] = float(val)
-        else:
+        if key not in key_types:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = key_types[key](val)
     return values
 
 

@@ -10,11 +10,20 @@ and the signal-to-clutter ratio of the pair (s, x) is
     scr(s, x) = (x.s)^2 / sum_{i != 0} (x . shifted(s, i))^2.
 
 The optimal filter is x* = R^{-1} s and the resulting fitness is the
-quadratic form s^T R^{-1} s, evaluated with a Cholesky solve (never an
-explicit inverse). R admits the exact closed form
+quadratic form s^T R^{-1} s. R admits the exact closed form
 R[j,k] = r(|j-k|) - s[j]*s[k] with r the aperiodic autocorrelation, which
 is what ``build_clutter_matrix`` computes; the literal sum of outer
 products is kept in the test suite as an independent oracle.
+
+Two routes evaluate the quadratic form:
+
+- ``fitness`` (one code) factors R by Cholesky, never forming an inverse.
+  It is the oracle the batch route is tested against, and its fallback.
+- ``fitness_batch`` uses the structure of R = T - s s^T, with T the
+  symmetric Toeplitz matrix of r. Sherman-Morrison gives
+  s^T R^{-1} s = q / (1 - q) with q = s^T T^{-1} s, and a Levinson
+  recursion solves T x = s in O(N^2) for a whole chunk of codes at once
+  (Levinson 1947; Golub & Van Loan, Matrix Computations, Section 4.7).
 """
 
 from __future__ import annotations
@@ -32,6 +41,15 @@ from .codes import PhaseCode, autocorrelation, code_key, shifted
 # Codes are evaluated in fixed-size chunks so results do not depend on the
 # thread count (chunks are concatenated in submission order).
 _CHUNK = 1024
+
+# Batch rows with 1 - q <= this (q = s^T T^{-1} s) go to the Cholesky
+# ``fitness``. 1 - q = 1 / (1 + gamma), so the subtraction loses about
+# log10(1 + gamma) digits; Cholesky loses as many, since cond(R) >=
+# gamma (N - 1) / N, so above the threshold the two routes agree. Below it
+# gamma >= 1e9, eight orders above any SCR the searches reach (about 63 at
+# N = 100): R is numerically singular and the oracle decides whether it is
+# defined.
+_MIN_ONE_MINUS_Q = 1e-9
 
 
 class FitnessScore(NamedTuple):
@@ -115,32 +133,52 @@ def fitness(s: PhaseCode) -> FitnessScore:
 
 
 def _fitness_chunk(codes: np.ndarray) -> np.ndarray:
-    """Gammas for a (B, N) chunk of codes; NaN marks an undefined (singular-R) entry."""
+    """Gammas for a (B, N) chunk of codes; NaN marks an undefined (singular-R) entry.
+
+    Solves T x = s for every row with the Levinson recursion of Golub & Van
+    Loan (Algorithm 4.7.2) on T / r(0), which has a unit diagonal. ``beta``
+    is the prediction error: T is positive definite exactly when it stays
+    > 0 at every step, and then R is positive definite exactly when
+    1 - q > 0. Rows that fail either test go to the Cholesky ``fitness``.
+    """
     S = codes.astype(np.float64)
     b, n = S.shape
-    r = np.empty((b, n))
-    r[:, 0] = n
-    for d in range(1, n):
-        r[:, d] = np.einsum("bi,bi->b", S[:, : n - d], S[:, d:])
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    # R is built in place and dropped once factored: at most two (B, N, N)
-    # arrays are alive at a time. ``take`` keeps each matrix contiguous (the
-    # equivalent ``r[:, idx]`` puts the batch axis innermost, which slows the
-    # Cholesky several-fold).
-    R = np.take(r, idx, axis=1)
-    R -= S[:, :, None] * S[:, None, :]
-    try:
-        L = np.linalg.cholesky(R)
-    except np.linalg.LinAlgError:
-        # Rare: isolate the non-PD members instead of failing the chunk.
-        out = np.empty(b)
-        for k in range(b):
-            score = fitness(codes[k])
-            out[k] = score.gamma if score.defined else np.nan
-        return out
-    del R
-    z = np.linalg.solve(L, S[:, :, None])[:, :, 0]
-    return np.einsum("bi,bi->b", z, z)
+    # r(d) is an integer, so the FFT's rounding error is removed exactly.
+    nfft = 1 << (2 * n - 2).bit_length()  # a power of two >= 2N - 1
+    spec = np.fft.rfft(S, nfft, axis=1)
+    r = np.rint(np.fft.irfft(spec.real**2 + spec.imag**2, nfft, axis=1)[:, :n])
+    # Lag-major (N, B) arrays: each step works on whole contiguous rows.
+    s_t = np.ascontiguousarray(S.T)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rhs = s_t / r[:, 0]
+        # rho[d - 1] = r(d) / r(0); the trailing zero row lets the last step
+        # compute an (unused) reflection coefficient instead of branching.
+        rho = np.zeros((n, b))
+        rho[:-1] = (r[:, 1:] / r[:, :1]).T
+        x = np.empty((n, b))  # solution of T x = s, built up in place
+        y = np.empty((n, b))  # Yule-Walker solution, built up in place
+        x[0] = rhs[0]
+        y[0] = alpha = -rho[0]
+        beta = np.ones(b)
+        ok = np.ones(b, dtype=bool)
+        for k in range(1, n):
+            beta *= 1.0 - alpha * alpha
+            ok &= beta > 0
+            y_rev = y[k - 1 :: -1]
+            mu = (rhs[k] - np.einsum("ib,ib->b", rho[:k], x[k - 1 :: -1])) / beta
+            x[:k] += mu * y_rev
+            x[k] = mu
+            alpha = -(rho[k] + np.einsum("ib,ib->b", rho[:k], y_rev)) / beta
+            y[:k] += alpha * y_rev
+            y[k] = alpha
+        q = np.einsum("ib,ib->b", s_t, x)
+        gamma = q / (1.0 - q)
+        ok &= 1.0 - q > _MIN_ONE_MINUS_Q
+    # ``fitness`` is looked up here at call time, so it can be wrapped.
+    for k in np.nonzero(~ok)[0]:
+        score = fitness(codes[k])
+        gamma[k] = score.gamma if score.defined else np.nan
+    return gamma
 
 
 def fitness_batch(codes: np.ndarray, threads: int = 1) -> np.ndarray:

@@ -74,12 +74,14 @@ class Population:
     """Ordered population of codes with (lazily filled) fitness values.
 
     ``gammas[p]`` is the SCR of ``codes[p]``; undefined scores are stored as
-    -inf so every comparison stays total. None until evaluated.
+    -inf so every comparison stays total. ``distinct_members`` is the number
+    of distinct codes. Both are None until evaluated.
     """
 
     generation: int
     codes: np.ndarray  # (P, N) int8
     gammas: np.ndarray | None = None
+    distinct_members: int | None = None
 
     @property
     def size(self) -> int:
@@ -125,6 +127,13 @@ def score_codes(codes: np.ndarray, cache: FitnessCache, threads: int = 1) -> np.
     contents and counters. The distinct codes the cache has not seen are
     scored in one ``fitness_batch`` call, in order of first occurrence.
     """
+    return _score_distinct(codes, cache, threads)[0]
+
+
+def _score_distinct(
+    codes: np.ndarray, cache: FitnessCache, threads: int
+) -> tuple[np.ndarray, int]:
+    """``score_codes`` and the number of distinct rows it found."""
     keys, first, inverse = unique_rows(codes)
     keys = keys.tolist()
     gammas = [cache.gammas.get(k) for k in keys]
@@ -137,12 +146,12 @@ def score_codes(codes: np.ndarray, cache: FitnessCache, threads: int = 1) -> np.
     cache.hit_count += codes.shape[0] - len(new)
     out = np.array(gammas, dtype=np.float64)
     out[np.isnan(out)] = float("-inf")
-    return out[inverse]
+    return out[inverse], len(keys)
 
 
 def evaluate(pop: Population, cache: FitnessCache, threads: int = 1) -> Population:
-    """Fill every score through the cache (``score_codes``)."""
-    pop.gammas = score_codes(pop.codes, cache, threads=threads)
+    """Fill every score through the cache (``score_codes``) and count the distinct codes."""
+    pop.gammas, pop.distinct_members = _score_distinct(pop.codes, cache, threads)
     return pop
 
 
@@ -344,7 +353,7 @@ def _population_stats(
         k=pop.generation,
         best_gamma=float(pop.gammas.max()),
         mean_gamma=float(finite.mean()) if finite.size else float("nan"),
-        distinct_members=len(unique_rows(pop.codes)[1]),
+        distinct_members=pop.distinct_members,
         visited_states=cache.miss_count,
         elapsed_seconds=time.perf_counter() - t0,
     )

@@ -1,13 +1,15 @@
 """Command-line harness: artifacts, formats, determinism, exit codes."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from phasecode.cli import RUN_LOG_HEADER, derive_sweep_seed, main
+from phasecode.cli import RUN_LOG_HEADER, _build_ga_config, build_parser, derive_sweep_seed, main
 from phasecode.codes import parse_code
 from phasecode.fitness import fitness
+from phasecode.ga import GaConfig
 
 SMALL = ["--N", "16", "--N_G", "6", "--P", "120", "--E", "24", "--M", "5"]
 
@@ -99,6 +101,22 @@ class TestSearchCommand:
         assert main(["search", "--config", str(cfg), "--seed", "12",
                      "--out", str(out)]) == 0
         assert (out / "search_N16_seed12.log.csv").exists()  # flag beat the file
+
+    def test_every_scalar_config_field_round_trips(self, tmp_path):
+        # A valid non-default value for each int and float field of GaConfig.
+        want = {
+            f.name: f.default + 1 if type(f.default) is int else f.default / 2
+            for f in fields(GaConfig)
+            if type(f.default) in (int, float)
+        }
+        assert {"N", "N_G", "P", "E", "M", "p_muta", "p_conv", "seed"} <= set(want)
+        cfg = tmp_path / "ga.conf"
+        cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in want.items()))
+        args = build_parser().parse_args(["search", "--config", str(cfg)])
+        config = _build_ga_config(args)
+        for key, value in want.items():
+            got = getattr(config, key)
+            assert (got, type(got)) == (value, type(value)), key
 
     def test_bad_config_file_is_exit_one(self, tmp_path):
         cfg = tmp_path / "ga.conf"

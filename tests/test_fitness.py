@@ -6,10 +6,14 @@ fitness is recomputed through an adjugate (cofactor) inverse, and the
 matched-filter value is cross-checked against the autocorrelation formula.
 """
 
+import importlib
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phasecode.codes import as_code, random_code, shifted
 from phasecode.fitness import (
@@ -28,6 +32,9 @@ from phasecode.fitness import (
 )
 
 GAMMA_TOL = 0.01  # published SCR values carry two decimals
+
+# The package re-exports the function ``fitness`` under the module's name.
+fitness_module = importlib.import_module("phasecode.fitness")
 
 
 def clutter_matrix_oracle(s):
@@ -215,7 +222,66 @@ class TestPublishedValues:
             )
 
 
+def _code_matrices():
+    """(B, N) int8 code matrices, B in 1..6, N from the lengths the searches use and beyond."""
+    return st.tuples(
+        st.integers(1, 6), st.sampled_from([2, 3, 5, 12, 20, 59, 100, 160])
+    ).flatmap(lambda shape: arrays(np.int8, shape, elements=st.sampled_from([-1, 1])))
+
+
 class TestFitnessBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(_code_matrices())
+    def test_agrees_with_cholesky_oracle(self, codes):
+        batch = fitness_batch(codes)
+        for row, g in zip(codes, batch):
+            expected = fitness(row).gamma
+            assert abs(g - expected) <= 1e-12 * expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(_code_matrices())
+    def test_symmetries(self, codes):
+        # Negation is exact in floating point; reversal and alternation
+        # s[n] -> (-1)^n s[n] keep gamma exactly but round differently.
+        base = fitness_batch(codes)
+        assert fitness_batch(-codes).tobytes() == base.tobytes()
+        alt = (-1) ** np.arange(codes.shape[1])
+        for image in (codes[:, ::-1], codes * alt):
+            assert np.all(np.abs(fitness_batch(image) - base) <= 1e-12 * base)
+
+    def test_fallback_rows_go_to_the_oracle(self, monkeypatch):
+        rng = np.random.default_rng(107)
+        codes = np.stack([random_code(20, rng) for _ in range(300)])
+        base = fitness_batch(codes)
+        # 1 - q = 1 / (1 + gamma): a threshold between two rows' values sends
+        # every row with a larger gamma to the fallback.
+        one_minus_q = np.sort(1.0 / (1.0 + base))
+        threshold = 0.5 * (one_minus_q[99] + one_minus_q[100])
+        expected = 1.0 / (1.0 + base) <= threshold
+        calls = []
+
+        def recording_fitness(s):
+            calls.append(np.array(s))
+            return fitness(s)
+
+        monkeypatch.setattr(fitness_module, "_MIN_ONE_MINUS_Q", threshold)
+        monkeypatch.setattr(fitness_module, "fitness", recording_fitness)
+        patched = fitness_batch(codes)
+        assert expected.sum() == 100
+        assert np.array_equal(np.array(calls), codes[expected])
+        assert patched[expected].tolist() == [fitness(c).gamma for c in codes[expected]]
+        assert patched[~expected].tobytes() == base[~expected].tobytes()
+
+    def test_row_with_singular_clutter_is_nan(self):
+        # An all-zero row has r(0) = 0, so the recursion's prediction error is
+        # not positive; the oracle finds R = 0 singular.
+        rng = np.random.default_rng(108)
+        codes = np.stack([random_code(12, rng) for _ in range(4)])
+        codes[2] = 0
+        got = fitness_batch(codes)
+        assert not fitness(codes[2]).defined
+        assert np.isnan(got[2]) and np.isfinite(np.delete(got, 2)).all()
+
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(105)
         codes = np.stack([random_code(31, rng) for _ in range(64)])
