@@ -21,9 +21,13 @@ Two routes evaluate the quadratic form:
   It is the oracle the batch route is tested against, and its fallback.
 - ``fitness_batch`` uses the structure of R = T - s s^T, with T the
   symmetric Toeplitz matrix of r. Sherman-Morrison gives
-  s^T R^{-1} s = q / (1 - q) with q = s^T T^{-1} s, and a Levinson
-  recursion solves T x = s in O(N^2) for a whole chunk of codes at once
-  (Levinson 1947; Golub & Van Loan, Matrix Computations, Section 4.7).
+  s^T R^{-1} s = q / (1 - q) with q = s^T T^{-1} s. Durbin's recursion
+  (Durbin 1960; Golub & Van Loan, Matrix Computations, Section 4.7) yields
+  the factorization T^{-1} = V D^{-1} V^T / r(0), with V unit upper
+  triangular and D the prediction errors, so q is a sum of squares over
+  D in O(N^2) and T x = s is never solved. The autocorrelation r(d) is
+  taken as exact integer dot products of the +-1 symbols, not by FFT, so
+  it needs no rounding.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .codes import PhaseCode, autocorrelation, code_key, shifted
 
@@ -83,10 +86,10 @@ def build_clutter_matrix(s: PhaseCode) -> np.ndarray:
 def _spd_solve(R: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Solve R x = b by Cholesky; None when R is not numerically positive definite."""
     try:
-        cho = scipy.linalg.cho_factor(R, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        L = np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
         return None
-    return scipy.linalg.cho_solve(cho, b, check_finite=False)
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def optimal_filter(s: PhaseCode) -> np.ndarray | None:
@@ -135,45 +138,56 @@ def fitness(s: PhaseCode) -> FitnessScore:
 def _fitness_chunk(codes: np.ndarray) -> np.ndarray:
     """Gammas for a (B, N) chunk of codes; NaN marks an undefined (singular-R) entry.
 
-    Solves T x = s for every row with the Levinson recursion of Golub & Van
-    Loan (Algorithm 4.7.2) on T / r(0), which has a unit diagonal. ``beta``
-    is the prediction error: T is positive definite exactly when it stays
-    > 0 at every step, and then R is positive definite exactly when
-    1 - q > 0. Rows that fail either test go to the Cholesky ``fitness``.
+    Runs Durbin's recursion (Golub & Van Loan, Algorithm 4.7.1) for the
+    Yule-Walker solutions y of T / r(0), which has a unit diagonal, and
+    accumulates r(0) q = sum_k t_k^2 / beta_k from the factorization
+    (T / r(0))^{-1} = V D^{-1} V^T. Column k of V is [E y_k; 1; 0], where y_k
+    is the order-k solution and E reverses it, so t_k = (E y_k) . s[:k] + s[k];
+    D holds the prediction errors beta_0 = 1, beta_1, ... T is positive
+    definite exactly when beta stays > 0 at every step, and then R is
+    positive definite exactly when 1 - q > 0. Rows that fail either test go
+    to the Cholesky ``fitness``.
+
+    The sum is carried as num / beta: each step scales num by the same
+    factor 1 - alpha^2 as beta and adds t_k^2, so gamma = q / (1 - q) comes
+    out as num / (r(0) beta - num) with a single division. Summing
+    t_k^2 / beta_k first and then forming q / (1 - q) rounds twice more
+    (N = 2 gives 1.9999999999999998 instead of 2).
     """
-    S = codes.astype(np.float64)
-    b, n = S.shape
-    # r(d) is an integer, so the FFT's rounding error is removed exactly.
-    nfft = 1 << (2 * n - 2).bit_length()  # a power of two >= 2N - 1
-    spec = np.fft.rfft(S, nfft, axis=1)
-    r = np.rint(np.fft.irfft(spec.real**2 + spec.imag**2, nfft, axis=1)[:, :n])
+    b, n = codes.shape
     # Lag-major (N, B) arrays: each step works on whole contiguous rows.
-    s_t = np.ascontiguousarray(S.T)
+    s_t = np.ascontiguousarray(codes.T, dtype=np.float64)
+    # r(d) sums products of +-1 symbols, so it is an exact integer whatever
+    # the summation order. r(0) = s.s rather than N, so an all-zero row has
+    # r(0) = 0 and fails the beta test below.
+    r0 = np.einsum("ib,ib->b", s_t, s_t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rhs = s_t / r[:, 0]
         # rho[d - 1] = r(d) / r(0); the trailing zero row lets the last step
         # compute an (unused) reflection coefficient instead of branching.
         rho = np.zeros((n, b))
-        rho[:-1] = (r[:, 1:] / r[:, :1]).T
-        x = np.empty((n, b))  # solution of T x = s, built up in place
+        for d in range(1, n):
+            rho[d - 1] = np.einsum("ib,ib->b", s_t[: n - d], s_t[d:]) / r0
         y = np.empty((n, b))  # Yule-Walker solution, built up in place
-        x[0] = rhs[0]
         y[0] = alpha = -rho[0]
         beta = np.ones(b)
+        num = s_t[0] * s_t[0]
         ok = np.ones(b, dtype=bool)
         for k in range(1, n):
-            beta *= 1.0 - alpha * alpha
+            f = 1.0 - alpha * alpha
+            beta *= f
             ok &= beta > 0
+            # The reductions that round all read the reversed view y_rev, which
+            # einsum sums in the same order for every chunk width, one row
+            # included, so a code's gamma does not depend on its chunk.
             y_rev = y[k - 1 :: -1]
-            mu = (rhs[k] - np.einsum("ib,ib->b", rho[:k], x[k - 1 :: -1])) / beta
-            x[:k] += mu * y_rev
-            x[k] = mu
+            t = np.einsum("ib,ib->b", y_rev, s_t[:k]) + s_t[k]
+            num = num * f + t * t
             alpha = -(rho[k] + np.einsum("ib,ib->b", rho[:k], y_rev)) / beta
             y[:k] += alpha * y_rev
             y[k] = alpha
-        q = np.einsum("ib,ib->b", s_t, x)
-        gamma = q / (1.0 - q)
-        ok &= 1.0 - q > _MIN_ONE_MINUS_Q
+        den = r0 * beta - num  # r(0) beta (1 - q)
+        gamma = num / den
+        ok &= den > _MIN_ONE_MINUS_Q * r0 * beta
     # ``fitness`` is looked up here at call time, so it can be wrapped.
     for k in np.nonzero(~ok)[0]:
         score = fitness(codes[k])

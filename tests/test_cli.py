@@ -1,11 +1,16 @@
 """Command-line harness: artifacts, formats, determinism, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasecode
 from phasecode.cli import RUN_LOG_HEADER, _build_ga_config, build_parser, derive_sweep_seed, main
 from phasecode.codes import parse_code
 from phasecode.fitness import fitness
@@ -295,3 +300,23 @@ class TestCliPlumbing:
 
     def test_invalid_hyperparameter_is_exit_one(self, tmp_path):
         assert main(["search", "--N", "1", "--out", str(tmp_path)]) == 1
+
+    def test_search_and_bruteforce_run_without_scipy(self, tmp_path):
+        # A fresh interpreter, so no other test's imports count.
+        script = (
+            "import sys\n"
+            "from phasecode.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert main(['search', '--N', '12', '--N_G', '2', '--P', '60', '--E', '12',"
+            " '--M', '3', '--seed', '1', '--out', out]) == 0\n"
+            "assert main(['bruteforce', '8', '--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(phasecode.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

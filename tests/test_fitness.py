@@ -222,6 +222,24 @@ class TestPublishedValues:
             )
 
 
+BARKER_13 = [1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1, 1]
+
+
+def _structured_codes():
+    """Codes whose Toeplitz T is far from the well-conditioned random case."""
+    cases = []
+    for n in (2, 3, 13, 59, 100, 160):
+        idx = np.arange(n)
+        cases.append((f"all-plus-{n}", np.ones(n)))
+        cases.append((f"alternating-{n}", (-1.0) ** idx))
+        cases.append((f"step-{n}", np.where(idx < n // 2, 1.0, -1.0)))
+    cases.append(("barker-13", BARKER_13))
+    from phasecode.baselines import known_codes
+
+    cases += [(k.name, k.code) for k in known_codes()]
+    return [pytest.param(as_code(code), id=name) for name, code in cases]
+
+
 def _code_matrices():
     """(B, N) int8 code matrices, B in 1..6, N from the lengths the searches use and beyond."""
     return st.tuples(
@@ -248,6 +266,22 @@ class TestFitnessBatch:
         alt = (-1) ** np.arange(codes.shape[1])
         for image in (codes[:, ::-1], codes * alt):
             assert np.all(np.abs(fitness_batch(image) - base) <= 1e-12 * base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_code_matrices())
+    def test_one_row_chunk_matches_its_row_in_a_batch(self, codes):
+        whole = fitness_batch(codes)
+        for i in range(len(codes)):
+            assert fitness_batch(codes[i : i + 1]).tobytes() == whole[i : i + 1].tobytes()
+
+    @pytest.mark.parametrize("code", _structured_codes())
+    def test_structured_codes_agree_with_cholesky_oracle(self, code):
+        got = fitness_batch(code)[0]
+        expected = fitness(code)
+        if not expected.defined:
+            assert np.isnan(got)
+        else:
+            assert abs(got - expected.gamma) <= 1e-12 * expected.gamma
 
     def test_fallback_rows_go_to_the_oracle(self, monkeypatch):
         rng = np.random.default_rng(107)
