@@ -43,39 +43,50 @@ def as_code(values) -> PhaseCode:
     return code
 
 
-def _packed_keys(codes: np.ndarray) -> np.ndarray:
-    """One void scalar per row of a (B, N) code matrix: the packed sign bits.
+def _key_words(codes: np.ndarray) -> np.ndarray:
+    """(B, W) uint64 key words of a (B, N) code matrix, W = N // 64 + 1.
 
-    A 1 stop bit follows the N symbol bits, so the zero padding of the last
-    byte cannot make a code collide with the same code extended by -1
-    symbols: the key is one-to-one across code lengths.
+    Each row packs the N sign bits, then a 1 stop bit, then zero padding, as
+    big-endian words, so comparing rows word by word orders them as their
+    bytes. The stop bit keeps a code from colliding with the same code
+    extended by -1 symbols: the key is one-to-one across code lengths.
     """
     b, n = codes.shape
-    bits = np.ones((b, n + 1), dtype=bool)
+    bits = np.zeros((b, 64 * (n // 64 + 1)), dtype=bool)
     bits[:, :n] = codes > 0
-    packed = np.packbits(bits, axis=1)
-    return packed.view(f"V{packed.shape[1]}")[:, 0]
+    bits[:, n] = True
+    return np.packbits(bits, axis=1).view(">u8").astype(np.uint64)
 
 
 def code_key(s: np.ndarray) -> bytes:
     """Canonical hashable key for a code (exact symbol sequence); see ``unique_rows``."""
-    return _packed_keys(np.asarray(s)[None, :])[0].tobytes()
+    return _key_words(np.asarray(s)[None, :]).tobytes()
 
 
 def unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of a (B, N) code matrix, numbered in order of first occurrence.
 
-    Returns ``keys`` (the ``code_key`` bytes of each distinct row, as a void
-    array), ``first`` (ascending index of each distinct row's first
-    occurrence) and ``inverse`` (the distinct-row number of every row), so
-    ``codes[first][inverse]`` equals ``codes``.
+    Returns ``keys`` (the ``code_key`` bytes of each distinct row: its 8 W
+    key-word bytes as a void array), ``first`` (ascending index of each
+    distinct row's first occurrence) and ``inverse`` (the distinct-row number
+    of every row), so ``codes[first][inverse]`` equals ``codes``.
+
+    One stable lexicographic sort of the key words groups equal rows with the
+    first occurrence leading each group.
     """
-    packed = _packed_keys(codes)
-    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return packed[first[order]], first[order], rank[inverse]
+    words = _key_words(codes)
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    group_first = order[starts]
+    by_first = np.argsort(group_first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    inverse = np.empty_like(order)
+    inverse[order] = rank[np.cumsum(starts) - 1]
+    first = group_first[by_first]
+    return words[first].view(f"V{words.shape[1] * 8}")[:, 0], first, inverse
 
 
 def shifted(s: PhaseCode, i: int) -> np.ndarray:

@@ -218,10 +218,13 @@ def fitness_batch(codes: np.ndarray, threads: int = 1) -> np.ndarray:
 class FitnessCache:
     """Gamma store keyed by ``code_key`` (exact symbol sequence); counts distinct evaluations.
 
-    ``gammas`` maps a packed key to its gamma, NaN when undefined.
-    ``miss_count`` is the number of distinct codes ever evaluated through the
-    cache, the "visited states" metric; a code and its negation are two
-    states. Inserts take ``_lock``, so ``cached_fitness`` may be called from
+    ``gammas`` maps a code's key (its sign bits and a stop bit, packed into
+    64-bit words) to its gamma, NaN when undefined. ``miss_count`` is the
+    number of distinct codes ever evaluated through the cache, the "visited
+    states" metric; a code and its negation are two states.
+    ``ga.score_codes`` inserts a whole batch of new codes at once with
+    ``gammas.update`` and adds to both counters itself; it runs on one thread
+    only. ``add`` takes ``_lock``, so ``cached_fitness`` may be called from
     several threads.
     """
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -136,17 +137,15 @@ def _score_distinct(
     """``score_codes`` and the number of distinct rows it found."""
     keys, first, inverse = unique_rows(codes)
     keys = keys.tolist()
-    gammas = [cache.gammas.get(k) for k in keys]
-    new = [i for i, g in enumerate(gammas) if g is None]
-    if new:
-        fresh = fitness_batch(codes[first[new]], threads=threads).tolist()
-        for i, g in zip(new, fresh):
-            cache.add(keys[i], g)
-            gammas[i] = g
-    cache.hit_count += codes.shape[0] - len(new)
-    out = np.array(gammas, dtype=np.float64)
-    out[np.isnan(out)] = float("-inf")
-    return out[inverse], len(keys)
+    # -1 marks a missing code: a defined gamma is positive, an undefined one NaN.
+    gammas = np.fromiter(map(cache.gammas.get, keys, repeat(-1.0)), np.float64, len(keys))
+    new = np.flatnonzero(gammas < 0)
+    if new.size:
+        gammas[new] = fitness_batch(codes[first[new]], threads=threads)
+        cache.gammas.update(zip([keys[i] for i in new], gammas[new].tolist()))
+        cache.miss_count += new.size
+    cache.hit_count += codes.shape[0] - new.size
+    return np.where(np.isnan(gammas), -np.inf, gammas)[inverse], len(keys)
 
 
 def evaluate(pop: Population, cache: FitnessCache, threads: int = 1) -> Population:
@@ -368,10 +367,13 @@ def run(
     """Full search: init, evaluate, N_G generation steps, per-generation stats.
 
     ``stop_gamma`` ends the run early once the best score reaches it (the
-    recorded history is still complete up to that generation). Deterministic
+    recorded history is still complete up to that generation). It must be
+    finite: no score reaches NaN, and none reaches +inf. Deterministic
     for a fixed config: all stochastic operators share one seeded stream.
     """
     config.validate()
+    if stop_gamma is not None and not math.isfinite(stop_gamma):
+        raise ValueError(f"stop_gamma must be finite, got {stop_gamma}")
     rng = np.random.default_rng(config.seed)
     cache = FitnessCache()
     t0 = time.perf_counter()

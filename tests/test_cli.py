@@ -132,6 +132,13 @@ class TestSearchCommand:
         # registry codes are length 59; N=16 must be a config error
         assert main(["search", *SMALL, "--seed-known", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_stop_gamma_is_exit_one(self, tmp_path, capsys, bad):
+        assert main(["search", *SMALL, "--stop-gamma", bad, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stop_gamma must be finite")
+        assert "Traceback" not in err
+
     def test_unwritable_output_is_exit_two(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")

@@ -204,7 +204,11 @@ class TestAsCode:
 
 
 def _code_blocks():
-    """(B, N) int8 code blocks, B up to 40, drawn from a few distinct rows so repeats are common."""
+    """(B, N) int8 code blocks, B up to 40, drawn from a few distinct rows so repeats are common.
+
+    N runs to 200, so keys span one to four 64-bit words and cross the
+    63/64 and 127/128 word boundaries.
+    """
 
     def block(shape):
         b, n, pool = shape
@@ -212,7 +216,7 @@ def _code_blocks():
         picks = st.lists(st.integers(0, pool - 1), min_size=b, max_size=b)
         return st.tuples(rows, picks).map(lambda rp: rp[0][rp[1]].reshape(b, n))
 
-    return st.tuples(st.integers(0, 40), st.integers(2, 20), st.integers(1, 6)).flatmap(block)
+    return st.tuples(st.integers(0, 40), st.integers(2, 200), st.integers(1, 6)).flatmap(block)
 
 
 class TestUniqueRows:
@@ -234,7 +238,10 @@ class TestUniqueRows:
         assert np.array_equal(codes[first][inverse], codes)
 
     def test_key_is_one_to_one_across_lengths(self):
-        s = random_code(9, np.random.default_rng(30))
-        longer = np.append(s, -1).astype(np.int8)
-        assert code_key(s) != code_key(longer)
-        assert code_key(s) != code_key(np.append(longer, -1))
+        # At 63, 64 and 127 one or two trailing -1 symbols move the stop bit
+        # into the next key word.
+        for n in (9, 63, 64, 127):
+            s = random_code(n, np.random.default_rng(30))
+            longer = np.append(s, -1).astype(np.int8)
+            assert code_key(s) != code_key(longer), n
+            assert code_key(s) != code_key(np.append(longer, -1)), n

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from phasecode.codes import as_code, random_code
-from phasecode.fitness import FitnessCache, cached_fitness, fitness
+from phasecode import ga
+from phasecode.codes import as_code, code_key, random_code
+from phasecode.fitness import FitnessCache, cached_fitness, fitness, fitness_batch
 from phasecode.ga import (
     GaConfig,
     Population,
@@ -417,6 +418,32 @@ class TestScoreCodes:
             assert cache.miss_count - before == len(new)
         assert cache.miss_count == len(seen)
         assert cache.hit_count == 150 - len(seen)
+
+    def test_cached_undefined_code_is_a_hit(self, monkeypatch):
+        # A NaN gamma in the cache is an undefined code, not a missing one.
+        rng = np.random.default_rng(27)
+        distinct = np.stack([random_code(12, rng) for _ in range(6)])
+        block = distinct[rng.integers(0, 6, size=40)]
+        undefined = block[0]
+        cache, ref = FitnessCache(), FitnessCache()
+        for c in (cache, ref):
+            c.gammas[code_key(undefined)] = float("nan")
+        scored = []
+
+        def recording_batch(codes, threads=1):
+            scored.append(codes.copy())
+            return fitness_batch(codes, threads=threads)
+
+        monkeypatch.setattr(ga, "fitness_batch", recording_batch)
+        gammas = score_codes(block, cache)
+        is_undefined = (block == undefined).all(axis=1)
+        assert np.all(gammas[is_undefined] == -np.inf)
+        assert np.all(np.isfinite(gammas[~is_undefined]))
+        assert len(scored) == 1
+        assert not (scored[0] == undefined).all(axis=1).any()
+        for row in block:
+            cached_fitness(ref, row)
+        assert (cache.miss_count, cache.hit_count) == (ref.miss_count, ref.hit_count)
 
 
 class TestPadPopulation:
