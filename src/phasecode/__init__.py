@@ -19,7 +19,6 @@ from .fitness import (
     FitnessCache,
     FitnessScore,
     build_clutter_matrix,
-    cached_fitness,
     fitness,
     fitness_batch,
     matched_filter_scr,

@@ -126,17 +126,6 @@ def known_code(name: str) -> KnownCode:
     raise KeyError(name)
 
 
-def export_known_codes(path) -> None:
-    """Write the registry as CSV: name, published gamma, code text."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "published_gamma", "code"])
-        for k in known_codes():
-            writer.writerow([k.name, f"{k.published_gamma:.2f}", format_code(k.code)])
-
-
 def _checkpoints(budget: int) -> list[int]:
     marks = []
     mark = 1
@@ -152,7 +141,6 @@ def random_search(
     budget: int,
     rng: np.random.Generator,
     cache: FitnessCache | None = None,
-    threads: int = 1,
 ) -> RunResult:
     """Evaluate ``budget`` uniform random codes; best-so-far at log checkpoints.
 
@@ -174,7 +162,7 @@ def random_search(
         while done < mark:
             m = min(4096, mark - done)
             codes = random_codes(m, N, rng)
-            gammas = score_codes(codes, cache, threads=threads)
+            gammas = score_codes(codes, cache)
             for g in gammas[np.isfinite(gammas)].tolist():
                 gamma_sum += g  # sequential, so the logged mean is reproducible
             top = int(np.argmax(gammas))
@@ -224,9 +212,7 @@ def _symmetry_orbit(code: np.ndarray) -> np.ndarray:
     return np.concatenate([base, -base])
 
 
-def brute_force_best(
-    N: int, fold_reversal: bool = False, threads: int = 1
-) -> tuple[PhaseCode, float]:
+def brute_force_best(N: int, fold_reversal: bool = False) -> tuple[PhaseCode, float]:
     """Exact argmax of fitness over all bipolar codes of length N.
 
     Enumerates one representative per negation pair (fitness is exactly even
@@ -255,7 +241,7 @@ def brute_force_best(
             codes = codes[~_lex_less_rows(rev, codes)]
             if codes.shape[0] == 0:
                 continue
-        gammas = fitness_batch(codes, threads=threads)
+        gammas = fitness_batch(codes)
         gammas = np.where(np.isfinite(gammas), gammas, float("-inf"))
         best_gamma = max(best_gamma, float(gammas.max()))
         # Every defined gamma is > 0, so this keeps the near-ties of the best.

@@ -115,7 +115,6 @@ def _add_ga_flags(parser) -> None:
 
 def _add_common_flags(parser) -> None:
     parser.add_argument("--out", default="runs", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="evaluation thread cap")
 
 
 def _read_code_arg(args):
@@ -125,9 +124,10 @@ def _read_code_arg(args):
                 return parse_code(line)
         raise ValueError(f"no code found in {args.file}")
     if getattr(args, "code", None):
-        if args.code in ("legendre", "alphaseq", "hpgan", "ga"):
+        try:
             return baselines.known_code(args.code).code
-        return parse_code(args.code)
+        except KeyError:
+            return parse_code(args.code)
     raise ValueError("provide a code string, a registry name, or --file")
 
 
@@ -164,7 +164,7 @@ def _write_result(path: Path, fields: dict, code) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _result_metadata(run_id: str, config: GaConfig, result: RunResult, threads: int):
+def _result_metadata(run_id: str, config: GaConfig, result: RunResult):
     return {
         "run_id": run_id,
         "mode": "search",
@@ -181,7 +181,6 @@ def _result_metadata(run_id: str, config: GaConfig, result: RunResult, threads: 
         "p_muta": config.p_muta,
         "p_conv": config.p_conv,
         "seed_codes": len(config.seed_codes),
-        "threads": threads,
         "elapsed_seconds_total": f"{result.history[-1].elapsed_seconds:.6f}",
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "python": platform.python_version(),
@@ -211,14 +210,12 @@ def cmd_search(args) -> int:
             f"visited={st.visited_states}",
             file=sys.stderr,
         )
-    result = ga.run(
-        config, threads=args.threads, stop_gamma=args.stop_gamma, on_generation=progress
-    )
+    result = ga.run(config, stop_gamma=args.stop_gamma, on_generation=progress)
     _write_run_log(out / f"{run_id}.log.csv", run_id, config.seed, result.history)
     _write_plot_data(out / f"{run_id}.plot.csv", result.history)
     _write_result(
         out / f"{run_id}.result.txt",
-        _result_metadata(run_id, config, result, args.threads),
+        _result_metadata(run_id, config, result),
         result.best_code,
     )
     print(
@@ -320,7 +317,7 @@ def cmd_study(args) -> int:
             setattr(sub, key, val)
         config = _build_ga_config(sub, seed_codes=seeds)
         run_id = f"study_{args.variable}_{value}_seed{config.seed}"
-        result = ga.run(config, threads=args.threads, stop_gamma=args.stop_gamma)
+        result = ga.run(config, stop_gamma=args.stop_gamma)
         _write_run_log(out / f"{run_id}.log.csv", run_id, config.seed, result.history)
         with open(out / f"{run_id}.trajectory.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -329,7 +326,7 @@ def cmd_study(args) -> int:
                 writer.writerow([st.k, _fmt(st.best_gamma)])
         _write_result(
             out / f"{run_id}.result.txt",
-            _result_metadata(run_id, config, result, args.threads),
+            _result_metadata(run_id, config, result),
             result.best_code,
         )
         print(f"{run_id}: best gamma {result.best_gamma:.4f}")
@@ -339,9 +336,7 @@ def cmd_study(args) -> int:
 def cmd_bruteforce(args) -> int:
     out = _out_dir(args)
     t0 = time.perf_counter()
-    code, gamma = baselines.brute_force_best(
-        args.N, fold_reversal=args.fold_reversal, threads=args.threads
-    )
+    code, gamma = baselines.brute_force_best(args.N, fold_reversal=args.fold_reversal)
     _write_result(
         out / f"bruteforce_N{args.N}.result.txt",
         {
@@ -361,7 +356,7 @@ def cmd_randomsearch(args) -> int:
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
-    result = baselines.random_search(args.N, args.budget, rng, threads=args.threads)
+    result = baselines.random_search(args.N, args.budget, rng)
     run_id = f"randomsearch_N{args.N}_seed{seed}"
     _write_run_log(out / f"{run_id}.log.csv", run_id, seed, result.history)
     _write_result(

@@ -32,17 +32,15 @@ Two routes evaluate the quadratic form:
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .codes import PhaseCode, autocorrelation, code_key, shifted
+from .codes import PhaseCode, autocorrelation, shifted
 
-# Codes are evaluated in fixed-size chunks so results do not depend on the
-# thread count (chunks are concatenated in submission order).
+# Codes are evaluated in fixed-size chunks, which bound the working set of
+# the lag-major arrays; a code's gamma does not depend on its chunk.
 _CHUNK = 1024
 
 # Batch rows with 1 - q <= this (q = s^T T^{-1} s) go to the Cholesky
@@ -63,11 +61,6 @@ class FitnessScore(NamedTuple):
 
 
 UNDEFINED_SCORE = FitnessScore(float("nan"), False)
-
-
-def sort_value(score: FitnessScore) -> float:
-    """Total-order key: undefined scores rank below every defined score."""
-    return score.gamma if score.defined else float("-inf")
 
 
 def build_clutter_matrix(s: PhaseCode) -> np.ndarray:
@@ -195,23 +188,14 @@ def _fitness_chunk(codes: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def fitness_batch(codes: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Vectorized fitness for a (B, N) code matrix.
-
-    Returns gamma per row with NaN for undefined entries. The chunk split is
-    fixed, so the result is identical for every thread count.
-    """
+def fitness_batch(codes: np.ndarray) -> np.ndarray:
+    """Vectorized fitness for a (B, N) code matrix; NaN marks an undefined entry."""
     codes = np.atleast_2d(codes)
-    b = codes.shape[0]
-    if b == 0:
+    if codes.shape[0] == 0:
         return np.empty(0)
-    chunks = [codes[lo : lo + _CHUNK] for lo in range(0, b, _CHUNK)]
-    if threads <= 1 or len(chunks) == 1:
-        parts = [_fitness_chunk(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_fitness_chunk, chunks))
-    return np.concatenate(parts)
+    return np.concatenate(
+        [_fitness_chunk(codes[lo : lo + _CHUNK]) for lo in range(0, codes.shape[0], _CHUNK)]
+    )
 
 
 @dataclass
@@ -221,50 +205,14 @@ class FitnessCache:
     ``gammas`` maps a code's key (its sign bits and a stop bit, packed into
     64-bit words) to its gamma, NaN when undefined. ``miss_count`` is the
     number of distinct codes ever evaluated through the cache, the "visited
-    states" metric; a code and its negation are two states.
-    ``ga.score_codes`` inserts a whole batch of new codes at once with
-    ``gammas.update`` and adds to both counters itself; it runs on one thread
-    only. ``add`` takes ``_lock``, so ``cached_fitness`` may be called from
-    several threads.
+    states" metric; a code and its negation are two states. ``hit_count``
+    counts the rows that found their code already stored. ``ga.score_codes``
+    fills the store and both counters.
     """
 
     gammas: dict[bytes, float] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     miss_count: int = 0
     hit_count: int = 0
 
-    def get(self, s: np.ndarray) -> FitnessScore | None:
-        gamma = self.gammas.get(code_key(s))
-        if gamma is None:
-            return None
-        return UNDEFINED_SCORE if np.isnan(gamma) else FitnessScore(gamma)
-
-    def store(self, s: np.ndarray, score: FitnessScore) -> bool:
-        """Insert unless present; returns True when the code was new."""
-        return self.add(code_key(s), score.gamma if score.defined else float("nan"))
-
-    def add(self, key: bytes, gamma: float) -> bool:
-        """``store`` by packed key and raw gamma (NaN when undefined)."""
-        with self._lock:
-            if key in self.gammas:
-                return False
-            self.gammas[key] = gamma
-            self.miss_count += 1
-            return True
-
     def __len__(self) -> int:
         return len(self.gammas)
-
-
-def cached_fitness(cache: FitnessCache, s: PhaseCode) -> tuple[FitnessScore, bool]:
-    """Fitness through the cache; second element is True when the code was new."""
-    hit = cache.get(s)
-    if hit is not None:
-        cache.hit_count += 1
-        return hit, False
-    score = fitness(s)
-    if not cache.store(s, score):
-        # Lost a concurrent insert race: the stored score is the canonical one.
-        cache.hit_count += 1
-        return cache.get(s), False
-    return score, True

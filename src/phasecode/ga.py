@@ -6,7 +6,7 @@ probabilistic thinning of duplicate codes (early-convergence prevention),
 and random padding back to the population size. All randomness is drawn
 from one sequential generator in the fixed order listed in
 ``step_generation``, so runs are reproducible from the seed alone and the
-(parallel) evaluation phase consumes no randomness.
+evaluation phase consumes no randomness.
 """
 
 from __future__ import annotations
@@ -121,19 +121,17 @@ def init_population(config: GaConfig, rng: np.random.Generator) -> Population:
     return Population(generation=0, codes=codes)
 
 
-def score_codes(codes: np.ndarray, cache: FitnessCache, threads: int = 1) -> np.ndarray:
+def score_codes(codes: np.ndarray, cache: FitnessCache) -> np.ndarray:
     """Gammas of a (B, N) code matrix through the cache, -inf where undefined.
 
-    Batch equivalent of calling ``cached_fitness`` per row: identical cache
-    contents and counters. The distinct codes the cache has not seen are
-    scored in one ``fitness_batch`` call, in order of first occurrence.
+    Each distinct code the cache has not seen is a miss; every other row is a
+    hit. The new codes are scored in one ``fitness_batch`` call, in order of
+    first occurrence.
     """
-    return _score_distinct(codes, cache, threads)[0]
+    return _score_distinct(codes, cache)[0]
 
 
-def _score_distinct(
-    codes: np.ndarray, cache: FitnessCache, threads: int
-) -> tuple[np.ndarray, int]:
+def _score_distinct(codes: np.ndarray, cache: FitnessCache) -> tuple[np.ndarray, int]:
     """``score_codes`` and the number of distinct rows it found."""
     keys, first, inverse = unique_rows(codes)
     keys = keys.tolist()
@@ -141,16 +139,16 @@ def _score_distinct(
     gammas = np.fromiter(map(cache.gammas.get, keys, repeat(-1.0)), np.float64, len(keys))
     new = np.flatnonzero(gammas < 0)
     if new.size:
-        gammas[new] = fitness_batch(codes[first[new]], threads=threads)
+        gammas[new] = fitness_batch(codes[first[new]])
         cache.gammas.update(zip([keys[i] for i in new], gammas[new].tolist()))
         cache.miss_count += new.size
     cache.hit_count += codes.shape[0] - new.size
     return np.where(np.isnan(gammas), -np.inf, gammas)[inverse], len(keys)
 
 
-def evaluate(pop: Population, cache: FitnessCache, threads: int = 1) -> Population:
+def evaluate(pop: Population, cache: FitnessCache) -> Population:
     """Fill every score through the cache (``score_codes``) and count the distinct codes."""
-    pop.gammas, pop.distinct_members = _score_distinct(pop.codes, cache, threads)
+    pop.gammas, pop.distinct_members = _score_distinct(pop.codes, cache)
     return pop
 
 
@@ -240,37 +238,6 @@ def survival_probability(P: int, M: int, i: int, E: int) -> float:
     return 1.0 - (1.0 - p) ** (P - E)
 
 
-def crossover(
-    a: PhaseCode,
-    b: PhaseCode,
-    split: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> PhaseCode:
-    """Single-point crossover: first ``split`` symbols from a, rest from b."""
-    if len(a) != len(b):
-        raise ValueError(f"parent length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    if split is None:
-        if rng is None:
-            raise ValueError("need an rng when no split point is given")
-        split = int(rng.integers(1, n))
-    if not 1 <= split <= n - 1:
-        raise ValueError(f"split {split} out of range for length {n}")
-    return np.concatenate([a[:split], b[split:]]).astype(CODE_DTYPE)
-
-
-def mutate(s: PhaseCode, p_muta: float, rng: np.random.Generator) -> PhaseCode:
-    """With probability p_muta flip the sign of one uniformly chosen symbol."""
-    if not 0.0 <= p_muta <= 1.0:
-        raise ValueError(f"p_muta must be in [0, 1], got {p_muta}")
-    if rng.random() >= p_muta:
-        return s
-    out = np.array(s, dtype=CODE_DTYPE, copy=True)
-    pos = int(rng.integers(0, len(s)))
-    out[pos] = -out[pos]
-    return out
-
-
 def prevent_early_convergence(
     codes: np.ndarray | Sequence[PhaseCode], p_conv: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -296,8 +263,13 @@ def pad_population(codes: np.ndarray, P: int, rng: np.random.Generator) -> np.nd
     return np.concatenate([codes, random_codes(P - count, codes.shape[1], rng)])
 
 
-def _crossover_batch(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` children from uniformly drawn parent pairs and split points."""
+def crossover(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` single-point crossover children of a (B, N) parent pool.
+
+    Child i takes its first ``split`` symbols from parent a and the rest from
+    parent b. Draws, in order: every parent a, every parent b, every split,
+    each uniform (split on [1, N)).
+    """
     size, n = pool.shape
     ia = rng.integers(0, size, size=count)
     ib = rng.integers(0, size, size=count)
@@ -306,8 +278,12 @@ def _crossover_batch(pool: np.ndarray, count: int, rng: np.random.Generator) -> 
     return np.where(cols < splits[:, None], pool[ia], pool[ib]).astype(CODE_DTYPE)
 
 
-def _mutate_batch(children: np.ndarray, p_muta: float, rng: np.random.Generator) -> np.ndarray:
-    """In-place mutation of a (B, N) child matrix; returns it."""
+def mutate(children: np.ndarray, p_muta: float, rng: np.random.Generator) -> np.ndarray:
+    """With probability p_muta per row, flip the sign of one uniformly chosen symbol.
+
+    Mutates the (B, N) matrix in place and returns it. Draws, in order: one
+    uniform gate per row, then one position per gated row.
+    """
     count, n = children.shape
     gate = rng.random(size=count) < p_muta
     rows = np.nonzero(gate)[0]
@@ -321,7 +297,6 @@ def step_generation(
     config: GaConfig,
     cache: FitnessCache,
     rng: np.random.Generator,
-    threads: int = 1,
 ) -> Population:
     """One full generation step; returns the evaluated generation k+1.
 
@@ -335,13 +310,13 @@ def step_generation(
     elites = elite_select(pop, E)
     winners = tournament_select(pop, config.M, P - E, rng)
     pool = np.concatenate([winners, elites])
-    children = _crossover_batch(pool, P - E, rng)
-    children = _mutate_batch(children, config.p_muta, rng)
+    children = crossover(pool, P - E, rng)
+    children = mutate(children, config.p_muta, rng)
     candidate = np.concatenate([children, elites])
     kept = prevent_early_convergence(candidate, config.p_conv, rng)
     codes = pad_population(kept, P, rng)
     nxt = Population(generation=pop.generation + 1, codes=codes)
-    return evaluate(nxt, cache, threads=threads)
+    return evaluate(nxt, cache)
 
 
 def _population_stats(
@@ -360,7 +335,6 @@ def _population_stats(
 
 def run(
     config: GaConfig,
-    threads: int = 1,
     stop_gamma: float | None = None,
     on_generation: Callable[[GenerationStats], None] | None = None,
 ) -> RunResult:
@@ -378,7 +352,7 @@ def run(
     cache = FitnessCache()
     t0 = time.perf_counter()
 
-    pop = evaluate(init_population(config, rng), cache, threads=threads)
+    pop = evaluate(init_population(config, rng), cache)
     best_idx = int(np.argmax(pop.gammas))
     best_code = pop.codes[best_idx].copy()
     best_gamma = float(pop.gammas[best_idx])
@@ -390,7 +364,7 @@ def run(
     for _ in range(config.N_G):
         if stop_gamma is not None and best_gamma >= stop_gamma:
             break
-        pop = step_generation(pop, config, cache, rng, threads=threads)
+        pop = step_generation(pop, config, cache, rng)
         idx = int(np.argmax(pop.gammas))
         if float(pop.gammas[idx]) > best_gamma:
             best_gamma = float(pop.gammas[idx])

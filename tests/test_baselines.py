@@ -1,19 +1,16 @@
 """Known-code registry, random-search baseline, and the exhaustive oracle."""
 
-import csv
-
 import numpy as np
 import pytest
 
 import phasecode.baselines as baselines
 from phasecode.baselines import (
     brute_force_best,
-    export_known_codes,
     known_code,
     known_codes,
     random_search,
 )
-from phasecode.codes import parse_code, random_code
+from phasecode.codes import random_code
 from phasecode.fitness import FitnessCache, fitness, fitness_batch
 
 # Frozen at first computation: exact optimum for N=12 (negation-folded
@@ -60,17 +57,6 @@ class TestKnownCodes:
         assert known_code("ga").published_gamma == 50.84
         with pytest.raises(KeyError):
             known_code("nonesuch")
-
-    def test_export_round_trips(self, tmp_path):
-        path = tmp_path / "registry.csv"
-        export_known_codes(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4
-        for row, k in zip(rows, known_codes()):
-            assert row["name"] == k.name
-            assert float(row["published_gamma"]) == k.published_gamma
-            assert np.array_equal(parse_code(row["code"]), k.code)
 
 
 class TestRandomSearch:

@@ -87,14 +87,11 @@ class TestSearchCommand:
         # the plot CSV carries no timing at all: fully byte-identical
         assert (a / f"{name}.plot.csv").read_bytes() == (b / f"{name}.plot.csv").read_bytes()
 
-    def test_thread_count_does_not_change_logs(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        big = ["--N", "31", "--N_G", "3", "--P", "2600", "--E", "500", "--M", "5"]
-        main(["search", *big, "--seed", "7", "--out", str(a), "--threads", "1"])
-        main(["search", *big, "--seed", "7", "--out", str(b), "--threads", "4"])
-        name = "search_N31_seed7"
-        assert log_bytes_without_elapsed(a / f"{name}.log.csv") == \
-            log_bytes_without_elapsed(b / f"{name}.log.csv")
+    def test_removed_threads_flag_is_config_error(self, tmp_path, capsys):
+        assert main(["search", *SMALL, "--out", str(tmp_path), "--threads", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threads 2" in err
+        assert "Traceback" not in err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "ga.conf"

@@ -1,4 +1,4 @@
-"""Clutter matrix, solver, SCR fitness, and the cache contracts.
+"""Clutter matrix, solver, SCR fitness, and the cache counters.
 
 The independent oracles here never share code with the production path:
 the clutter matrix is rebuilt from literal shifted outer products, small-N
@@ -7,7 +7,6 @@ matched-filter value is cross-checked against the autocorrelation formula.
 """
 
 import importlib
-import threading
 
 import numpy as np
 import pytest
@@ -18,18 +17,15 @@ from hypothesis.extra.numpy import arrays
 from phasecode.codes import as_code, random_code, shifted
 from phasecode.fitness import (
     FitnessCache,
-    FitnessScore,
-    UNDEFINED_SCORE,
     build_clutter_matrix,
-    cached_fitness,
     fitness,
     fitness_batch,
     matched_filter_scr,
     optimal_filter,
     scr,
-    sort_value,
     _spd_solve,
 )
+from phasecode.ga import score_codes
 
 GAMMA_TOL = 0.01  # published SCR values carry two decimals
 
@@ -323,62 +319,42 @@ class TestFitnessBatch:
         for row, g in zip(codes, batch):
             assert g == pytest.approx(fitness(row).gamma, rel=1e-9)
 
-    def test_thread_count_does_not_change_bytes(self):
+    def test_chunk_boundaries_do_not_change_bytes(self):
+        # 3000 rows span three 1024-row chunks, the last one partial.
         rng = np.random.default_rng(106)
         codes = np.stack([random_code(59, rng) for _ in range(3000)])
-        one = fitness_batch(codes, threads=1)
-        four = fitness_batch(codes, threads=4)
-        assert one.tobytes() == four.tobytes()
+        whole = fitness_batch(codes)
+        bounds = ((0, 1024), (1024, 2048), (2048, 3000))
+        slices = [fitness_batch(codes[lo:hi]) for lo, hi in bounds]
+        assert whole.tobytes() == np.concatenate(slices).tobytes()
 
 
 class TestFitnessCache:
     def test_repeat_lookup_is_a_hit(self):
         cache = FitnessCache()
         rng = np.random.default_rng(0)
-        s = random_code(12, rng)
-        first, new1 = cached_fitness(cache, s)
-        second, new2 = cached_fitness(cache, s)
-        assert new1 and not new2
+        s = random_code(12, rng)[None, :]
+        first = score_codes(s, cache)
+        second = score_codes(s, cache)
         assert cache.miss_count == 1 and cache.hit_count == 1
         # bit-identical stored score
-        assert first == second
+        assert first.tobytes() == second.tobytes()
 
     def test_counts_all_distinct_codes(self):
         cache = FitnessCache()
         n = 12
-        for bits in range(1 << n):
-            s = as_code([1 if (bits >> k) & 1 else -1 for k in range(n)])
-            cached_fitness(cache, s)
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        codes = (2 * bits - 1).astype(np.int8)
+        score_codes(codes, cache)
         assert cache.miss_count == 4096
         assert len(cache) == 4096
+        score_codes(codes[::-1], cache)
+        assert (cache.miss_count, cache.hit_count) == (4096, 4096)
 
     def test_exact_keys_by_default(self):
         cache = FitnessCache()
         rng = np.random.default_rng(1)
-        s = random_code(16, rng)
-        cached_fitness(cache, s)
-        _, was_new = cached_fitness(cache, as_code(-s))
-        assert was_new
-        assert cache.miss_count == 2
-
-    def test_concurrent_duplicate_inserts_count_once(self):
-        cache = FitnessCache()
-        rng = np.random.default_rng(2)
-        codes = [random_code(20, rng) for _ in range(32)]
-
-        def worker():
-            for s in codes:
-                cached_fitness(cache, s)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert cache.miss_count == 32
-
-
-class TestScoreOrdering:
-    def test_undefined_sorts_below_everything(self):
-        assert sort_value(UNDEFINED_SCORE) == float("-inf")
-        assert sort_value(FitnessScore(0.0)) > sort_value(UNDEFINED_SCORE)
+        s = random_code(16, rng)[None, :]
+        score_codes(s, cache)
+        score_codes(-s, cache)
+        assert cache.miss_count == 2 and cache.hit_count == 0
