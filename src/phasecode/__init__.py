@@ -44,7 +44,7 @@ from .ga import (
     tournament_select,
     tournament_win_probability,
 )
-from .echo import EchoScenario, TrialResult, empirical_sir, mmf_output, simulate_received, simulate_trial
+from .echo import empirical_sir
 from .baselines import KnownCode, brute_force_best, known_code, known_codes, random_search
 
 __version__ = "0.1.0"

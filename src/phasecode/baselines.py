@@ -93,28 +93,27 @@ def _registry_digest(codes: list[KnownCode]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def known_codes(verify: bool = True) -> list[KnownCode]:
+def known_codes() -> list[KnownCode]:
     """The four published length-59 codes with their reported SCR values.
 
-    With ``verify`` (default) every entry's fitness is recomputed and checked
-    against its published value to within 0.01, and the registry digest is
-    checked; a mismatch raises rather than returning corrupt ground truth.
+    The registry digest is checked and every entry's fitness is recomputed
+    and checked against its published value to within 0.01; a mismatch
+    raises rather than returning corrupt ground truth.
     """
     out = [
         KnownCode(name, parse_code(text), gamma, source)
         for name, text, gamma, source in _REGISTRY_ROWS
     ]
-    if verify:
-        digest = _registry_digest(out)
-        if digest != REGISTRY_SHA256:
-            raise RuntimeError(f"known-code registry digest mismatch: {digest}")
-        for k in out:
-            got = fitness(k.code)
-            if not got.defined or abs(got.gamma - k.published_gamma) > GAMMA_TOLERANCE:
-                raise RuntimeError(
-                    f"registry self-check failed for {k.name}: "
-                    f"recomputed {got.gamma:.4f}, published {k.published_gamma}"
-                )
+    digest = _registry_digest(out)
+    if digest != REGISTRY_SHA256:
+        raise RuntimeError(f"known-code registry digest mismatch: {digest}")
+    for k in out:
+        got = fitness(k.code)
+        if not got.defined or abs(got.gamma - k.published_gamma) > GAMMA_TOLERANCE:
+            raise RuntimeError(
+                f"registry self-check failed for {k.name}: "
+                f"recomputed {got.gamma:.4f}, published {k.published_gamma}"
+            )
     return out
 
 

@@ -20,6 +20,7 @@ import time
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +40,14 @@ RUN_LOG_HEADER = [
     "elapsed_seconds",
 ]
 
-_STUDY_VARIABLES = ("init_seeding", "tournament_M", "elite_E")
+# The GA hyperparameters the CLI exposes, each with the type of its default:
+# one --flag, one config-file key and one study variable per entry.
+_SCALAR_FIELDS = {
+    f.name: type(f.default) for f in fields(GaConfig) if type(f.default) in (int, float)
+}
+# Study variable names kept from the paper's notation.
+_STUDY_ALIASES = {"tournament_M": "M", "elite_E": "E"}
+_SEEDING_VALUES = ("none", "seed_with_known_codes")
 _MAX_SWEEP_N = 256
 
 
@@ -66,13 +74,18 @@ def derive_sweep_seed(seed: int, N: int) -> int:
     return (seed ^ _mix64(N)) & 0x7FFFFFFFFFFFFFFF
 
 
+def _parse_field(name: str, text: str):
+    """A scalar GaConfig field's value, parsed as the type of its default."""
+    kind = _SCALAR_FIELDS[name]
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {kind.__name__}, got {text!r}") from None
+
+
 def _load_config_file(path: str) -> dict:
     """Flat key=value config text; '#' starts a comment."""
     values: dict[str, object] = {}
-    # Every scalar GaConfig field is a key, parsed as the type of its default.
-    key_types = {
-        f.name: type(f.default) for f in fields(GaConfig) if type(f.default) in (int, float)
-    }
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -82,35 +95,38 @@ def _load_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in key_types:
+        if key not in _SCALAR_FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = key_types[key](val)
+        try:
+            values[key] = _parse_field(key, val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
-def _build_ga_config(args, seed_codes=()) -> GaConfig:
-    values = {f.name: f.default for f in fields(GaConfig) if f.name != "seed_codes"}
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-    for key in values:
-        arg = getattr(args, key, None)
-        if arg is not None:
-            values[key] = arg
+def _build_ga_config(args, seed_codes=(), **overrides) -> GaConfig:
+    """GaConfig from defaults, then --config, then flags, then ``overrides``."""
+    values = _load_config_file(args.config) if args.config else {}
+    for name in _SCALAR_FIELDS:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    values.update(overrides)
     config = GaConfig(seed_codes=tuple(seed_codes), **values)
     config.validate()
     return config
 
 
+def _known_seed_codes() -> tuple:
+    """The published prior codes (the GA's own excluded) for the initial population."""
+    return tuple(k.code for k in baselines.known_codes() if k.name != "ga")
+
+
 def _add_ga_flags(parser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--N", type=int, help="code length")
-    parser.add_argument("--N_G", type=int, help="number of generations")
-    parser.add_argument("--P", type=int, help="population size")
-    parser.add_argument("--E", type=int, help="elite count")
-    parser.add_argument("--M", type=int, help="tournament size")
-    parser.add_argument("--p_muta", type=float, help="mutation probability")
-    parser.add_argument("--p_conv", type=float, help="duplicate keep probability")
-    parser.add_argument("--seed", type=int, help="master seed")
+    for f in fields(GaConfig):
+        if f.name in _SCALAR_FIELDS:
+            parser.add_argument(f"--{f.name}", type=_SCALAR_FIELDS[f.name],
+                                help=f.metadata["help"])
 
 
 def _add_common_flags(parser) -> None:
@@ -158,34 +174,55 @@ def _write_plot_data(path: Path, history: list[GenerationStats]):
             writer.writerow([st.k, st.visited_states, _fmt(st.best_gamma)])
 
 
-def _write_result(path: Path, fields: dict, code) -> None:
-    lines = [f"{key} = {value}" for key, value in fields.items()]
+def _write_result(path: Path, meta: dict, code) -> None:
+    lines = [f"{key} = {value}" for key, value in meta.items()]
     lines.append(f"code = {format_code(code)}")
     path.write_text("\n".join(lines) + "\n")
 
 
-def _result_metadata(run_id: str, config: GaConfig, result: RunResult):
-    return {
+def _run_and_write(
+    config: GaConfig,
+    run_id: str,
+    out: Path,
+    stop_gamma: float | None,
+    on_generation: Callable[[GenerationStats], None] | None = None,
+) -> RunResult:
+    """Run the GA and write ``<run_id>`` .log.csv, .plot.csv and .result.txt."""
+    result = ga.run(config, stop_gamma=stop_gamma, on_generation=on_generation)
+    _write_run_log(out / f"{run_id}.log.csv", run_id, config.seed, result.history)
+    _write_plot_data(out / f"{run_id}.plot.csv", result.history)
+    # Config echo in field order, with N and seed up front beside the run id.
+    echo = {name: getattr(config, name) for name in _SCALAR_FIELDS}
+    meta = {
         "run_id": run_id,
         "mode": "search",
-        "N": config.N,
-        "seed": config.seed,
+        "N": echo.pop("N"),
+        "seed": echo.pop("seed"),
         "gamma": _fmt(result.best_gamma),
         "visited_states": result.total_visited_states,
         "total_evaluations": result.total_evaluations,
         "generations_run": result.history[-1].k,
-        "N_G": config.N_G,
-        "P": config.P,
-        "E": config.E,
-        "M": config.M,
-        "p_muta": config.p_muta,
-        "p_conv": config.p_conv,
+        **echo,
         "seed_codes": len(config.seed_codes),
         "elapsed_seconds_total": f"{result.history[-1].elapsed_seconds:.6f}",
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
+    _write_result(out / f"{run_id}.result.txt", meta, result.best_code)
+    print(
+        f"{run_id}: best gamma {result.best_gamma:.4f} after "
+        f"{result.history[-1].k} generations, "
+        f"{result.total_visited_states} visited states"
+    )
+    return result
+
+
+def _progress(run_id: str) -> Callable[[GenerationStats], None]:
+    return lambda st: print(
+        f"[{run_id}] k={st.k} best={st.best_gamma:.4f} visited={st.visited_states}",
+        file=sys.stderr,
+    )
 
 
 def _out_dir(args) -> Path:
@@ -195,34 +232,13 @@ def _out_dir(args) -> Path:
 
 
 def cmd_search(args) -> int:
-    seeds = ()
-    if args.seed_known:
-        seeds = tuple(
-            k.code for k in baselines.known_codes() if k.name != "ga"
-        )
-    config = _build_ga_config(args, seed_codes=seeds)
+    config = _build_ga_config(
+        args, seed_codes=_known_seed_codes() if args.seed_known else ()
+    )
     out = _out_dir(args)
     run_id = args.run_id or f"search_N{config.N}_seed{config.seed}"
-    progress = None
-    if args.verbose:
-        progress = lambda st: print(
-            f"[{run_id}] k={st.k} best={st.best_gamma:.4f} "
-            f"visited={st.visited_states}",
-            file=sys.stderr,
-        )
-    result = ga.run(config, stop_gamma=args.stop_gamma, on_generation=progress)
-    _write_run_log(out / f"{run_id}.log.csv", run_id, config.seed, result.history)
-    _write_plot_data(out / f"{run_id}.plot.csv", result.history)
-    _write_result(
-        out / f"{run_id}.result.txt",
-        _result_metadata(run_id, config, result),
-        result.best_code,
-    )
-    print(
-        f"{run_id}: best gamma {result.best_gamma:.4f} after "
-        f"{result.history[-1].k} generations, "
-        f"{result.total_visited_states} visited states"
-    )
+    _run_and_write(config, run_id, out, args.stop_gamma,
+                   _progress(run_id) if args.verbose else None)
     return 0
 
 
@@ -259,17 +275,11 @@ def cmd_sweep(args) -> int:
     base_seed = args.seed if args.seed is not None else 0
     rows = []
     for n in range(args.lo, args.hi + 1):
-        seed_n = derive_sweep_seed(base_seed, n)
-        sub = argparse.Namespace(**vars(args))
-        sub.N = n
-        sub.seed = seed_n
-        sub.run_id = f"search_N{n}_seed{seed_n}"
-        sub.seed_known = False
-        sub.verbose = args.verbose
-        cmd_search(sub)
-        result_path = out / f"{sub.run_id}.result.txt"
-        meta = _parse_result(result_path)
-        rows.append((n, meta["gamma"], meta["visited_states"]))
+        config = _build_ga_config(args, N=n, seed=derive_sweep_seed(base_seed, n))
+        run_id = f"search_N{n}_seed{config.seed}"
+        result = _run_and_write(config, run_id, out, args.stop_gamma,
+                                _progress(run_id) if args.verbose else None)
+        rows.append((n, _fmt(result.best_gamma), result.total_visited_states))
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", "best_gamma", "visited_states"])
@@ -278,58 +288,35 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_result(path: Path) -> dict:
-    meta = {}
-    for line in path.read_text().splitlines():
-        key, _, value = line.partition(" = ")
-        meta[key] = value
-    return meta
-
-
 def cmd_study(args) -> int:
-    if args.variable not in _STUDY_VARIABLES:
+    name = _STUDY_ALIASES.get(args.variable, args.variable)
+    if name != "init_seeding" and name not in _SCALAR_FIELDS:
         raise ValueError(
-            f"unknown study variable {args.variable!r}; pick one of {_STUDY_VARIABLES}"
+            f"unknown study variable {args.variable!r}; pick init_seeding, "
+            f"{', '.join(_STUDY_ALIASES)} or a scalar GaConfig field "
+            f"({', '.join(_SCALAR_FIELDS)})"
         )
-    out = _out_dir(args)
     values = args.values
-    if args.variable == "init_seeding" and not values:
-        values = ["none", "seed_with_known_codes"]
+    if name == "init_seeding" and not values:
+        values = list(_SEEDING_VALUES)
     if not values:
         raise ValueError("study needs at least one value (--values)")
+    # Every value's config is checked before the first run starts.
+    configs = []
     for value in values:
-        seeds = ()
-        overrides = {}
-        if args.variable == "init_seeding":
-            if value not in ("none", "seed_with_known_codes"):
-                raise ValueError(f"init_seeding value must be none or "
-                                 f"seed_with_known_codes, got {value!r}")
-            if value == "seed_with_known_codes":
-                seeds = tuple(
-                    k.code for k in baselines.known_codes() if k.name != "ga"
-                )
-        elif args.variable == "tournament_M":
-            overrides["M"] = int(value)
+        if name != "init_seeding":
+            configs.append(_build_ga_config(args, **{name: _parse_field(name, value)}))
+        elif value in _SEEDING_VALUES:
+            seeds = _known_seed_codes() if value == "seed_with_known_codes" else ()
+            configs.append(_build_ga_config(args, seed_codes=seeds))
         else:
-            overrides["E"] = int(value)
-        sub = argparse.Namespace(**vars(args))
-        for key, val in overrides.items():
-            setattr(sub, key, val)
-        config = _build_ga_config(sub, seed_codes=seeds)
+            raise ValueError(
+                f"init_seeding value must be one of {_SEEDING_VALUES}, got {value!r}"
+            )
+    out = _out_dir(args)
+    for value, config in zip(values, configs):
         run_id = f"study_{args.variable}_{value}_seed{config.seed}"
-        result = ga.run(config, stop_gamma=args.stop_gamma)
-        _write_run_log(out / f"{run_id}.log.csv", run_id, config.seed, result.history)
-        with open(out / f"{run_id}.trajectory.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["generation", "best_gamma"])
-            for st in result.history:
-                writer.writerow([st.k, _fmt(st.best_gamma)])
-        _write_result(
-            out / f"{run_id}.result.txt",
-            _result_metadata(run_id, config, result),
-            result.best_code,
-        )
-        print(f"{run_id}: best gamma {result.best_gamma:.4f}")
+        _run_and_write(config, run_id, out, args.stop_gamma)
     return 0
 
 
@@ -451,7 +438,8 @@ def build_parser() -> _Parser:
     _add_ga_flags(p)
     _add_common_flags(p)
     p.add_argument("--variable", required=True,
-                   help="one of init_seeding, tournament_M, elite_E")
+                   help="init_seeding, tournament_M (alias of M), elite_E "
+                        "(alias of E), or any scalar GaConfig field")
     p.add_argument("--values", nargs="*", default=[])
     p.add_argument("--stop-gamma", type=float, default=None)
     p.set_defaults(func=cmd_study)
@@ -488,7 +476,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # A MemoryError here is a size the config asked for (say a huge P).
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -27,9 +27,8 @@ from .fitness import FitnessCache, fitness_batch
 class GaConfig:
     """Search hyperparameters; field names follow the usual GA vocabulary.
 
-    N: code length, N_G: generations, P: population size, E: elite count,
-    M: tournament size, p_muta: per-code mutation probability, p_conv:
-    keep probability for duplicate occurrences in the thinning pass.
+    Each scalar field's ``metadata["help"]`` says what it sets; the CLI
+    builds its flags and config-file keys from these fields.
 
     The reference hyperparameter table quotes the thinning strength as 0.7;
     that number is the drop rate (the probability that the prevention acts
@@ -39,14 +38,14 @@ class GaConfig:
     published trajectories.
     """
 
-    N: int = 59
-    N_G: int = 200
-    P: int = 10_000
-    E: int = 2_000
-    M: int = 5
-    p_muta: float = 0.3
-    p_conv: float = 0.3
-    seed: int = 0
+    N: int = field(default=59, metadata={"help": "code length"})
+    N_G: int = field(default=200, metadata={"help": "number of generations"})
+    P: int = field(default=10_000, metadata={"help": "population size"})
+    E: int = field(default=2_000, metadata={"help": "elite count"})
+    M: int = field(default=5, metadata={"help": "tournament size"})
+    p_muta: float = field(default=0.3, metadata={"help": "mutation probability"})
+    p_conv: float = field(default=0.3, metadata={"help": "duplicate keep probability"})
+    seed: int = field(default=0, metadata={"help": "master seed"})
     seed_codes: tuple = ()
 
     def validate(self) -> None:

@@ -114,16 +114,19 @@ class TestSearchCommand:
         assert {"N", "N_G", "P", "E", "M", "p_muta", "p_conv", "seed"} <= set(want)
         cfg = tmp_path / "ga.conf"
         cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in want.items()))
-        args = build_parser().parse_args(["search", "--config", str(cfg)])
-        config = _build_ga_config(args)
-        for key, value in want.items():
-            got = getattr(config, key)
-            assert (got, type(got)) == (value, type(value)), key
+        flags = [arg for key, value in want.items() for arg in (f"--{key}", repr(value))]
+        for argv in (["--config", str(cfg)], flags):
+            config = _build_ga_config(build_parser().parse_args(["search", *argv]))
+            for key, value in want.items():
+                got = getattr(config, key)
+                assert (got, type(got)) == (value, type(value)), (argv[0], key)
 
-    def test_bad_config_file_is_exit_one(self, tmp_path):
+    def test_bad_config_file_is_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "ga.conf"
-        cfg.write_text("NO_SUCH_KEY = 5\n")
-        assert main(["search", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        for line in ("NO_SUCH_KEY = 5", "M = x"):
+            cfg.write_text(f"{line}\n")
+            assert main(["search", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {cfg}:1: "), line
 
     def test_seed_known_requires_matching_length(self, tmp_path):
         # registry codes are length 59; N=16 must be a config error
@@ -134,6 +137,15 @@ class TestSearchCommand:
         assert main(["search", *SMALL, "--stop-gamma", bad, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: stop_gamma must be finite")
+        assert "Traceback" not in err
+
+    def test_unallocatable_population_is_exit_one(self, tmp_path, capsys):
+        # numpy refuses the 52 PiB request up front, before allocating anything.
+        argv = ["search", "--N", "59", "--N_G", "1", "--P", "1000000000000000",
+                "--E", "1", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert "Traceback" not in err
 
     def test_unwritable_output_is_exit_two(self, tmp_path):
@@ -220,15 +232,15 @@ class TestStudyCommand:
         assert main(["study", "--variable", "tournament_M",
                      "--values", "2", "5", "20", *self.ARGS, "--out", str(out)]) == 0
         for m in (2, 5, 20):
-            rows = read_csv(out / f"study_tournament_M_{m}_seed2.trajectory.csv")
-            assert rows[0] == ["generation", "best_gamma"]
+            rows = read_csv(out / f"study_tournament_M_{m}_seed2.plot.csv")
+            assert rows[0] == ["generation", "visited_states", "best_gamma"]
             assert len(rows) == 1 + 4
 
     def test_elite_size_study_writes_three_files(self, tmp_path):
         out = tmp_path / "study"
         assert main(["study", "--variable", "elite_E",
                      "--values", "8", "16", "40", *self.ARGS, "--out", str(out)]) == 0
-        names = sorted(p.name for p in out.glob("study_elite_E_*.trajectory.csv"))
+        names = sorted(p.name for p in out.glob("study_elite_E_*.plot.csv"))
         assert len(names) == 3
 
     def test_init_seeding_study_uses_registry_codes(self, tmp_path):
@@ -243,9 +255,24 @@ class TestStudyCommand:
         unseeded = read_csv(out / "study_init_seeding_none_seed3.log.csv")
         assert float(unseeded[1][3]) < 45.0
 
+    def test_any_scalar_field_study_writes_search_artifacts(self, tmp_path):
+        out = tmp_path / "study"
+        assert main(["study", "--variable", "p_conv",
+                     "--values", "0.3", "0.7", *self.ARGS, "--out", str(out)]) == 0
+        for value in ("0.3", "0.7"):
+            for ext in ("log.csv", "plot.csv", "result.txt"):
+                assert (out / f"study_p_conv_{value}_seed2.{ext}").exists(), (value, ext)
+        result = (out / "study_p_conv_0.7_seed2.result.txt").read_text()
+        assert "p_conv = 0.7" in result.splitlines()
+
     def test_unknown_variable_rejected(self, tmp_path):
         assert main(["study", "--variable", "wing_area",
                      "--values", "1", "--out", str(tmp_path)]) == 1
+
+    def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys):
+        assert main(["study", "--variable", "M", "--values", "2.5",
+                     "--out", str(tmp_path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestBruteforceCommand:

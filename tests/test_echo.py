@@ -5,15 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from echo_model import EchoScenario, mmf_output, simulate_received, simulate_trial
 from phasecode.codes import as_code, random_code, shifted
-from phasecode.echo import (
-    EchoScenario,
-    empirical_sir,
-    lag_values,
-    mmf_output,
-    simulate_received,
-    simulate_trial,
-)
+from phasecode.echo import _SIR_CHUNK, empirical_sir, lag_values
 from phasecode.fitness import matched_filter_scr, optimal_filter, scr
 
 
@@ -154,6 +148,24 @@ class TestSimulateTrial:
 
 
 class TestEmpiricalSir:
+    def test_matches_literal_echo_model_draw_for_draw(self):
+        # The same seed drives both: one standard_normal(2N-2) per trial is
+        # the row empirical_sir draws for that trial, across chunk borders.
+        n, trials = 7, _SIR_CHUNK + 1808
+        assert trials > _SIR_CHUNK
+        rng = np.random.default_rng(18)
+        s = random_code(n, rng)
+        x = rng.normal(size=n)
+        draws = np.random.default_rng(19)
+        power = 0.0
+        for _ in range(trials):
+            scen = EchoScenario(h0=1.0, clutter_rcs=draws.standard_normal(2 * n - 2))
+            _, trial = simulate_trial(s, x, scen)
+            power += trial.clutter_component**2
+        peak = trial.signal_component
+        est = empirical_sir(s, x, trials, np.random.default_rng(19))
+        assert est == pytest.approx(peak**2 / (power / trials), rel=1e-12)
+
     def test_converges_to_analytic_scr(self):
         # denominator over 1e5 gaussian trials has relative std sqrt(2/T);
         # 20 random pairs each inside a 3-sigma band
