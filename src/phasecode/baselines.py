@@ -21,6 +21,9 @@ from .ga import GenerationStats, RunResult, score_codes
 # Hard cap for exhaustive enumeration.
 _BRUTE_FORCE_MAX_N = 20
 
+# Bit reversal of each byte value, for the reversed image in ``_orbit_minima``.
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
+
 # Relative gap within which brute force treats two gammas as tied: well
 # above the few-ulp (about 1e-14) rounding split of symmetric codes.
 _TIE_RTOL = 1e-12
@@ -189,16 +192,6 @@ def random_search(
     )
 
 
-def _chunk_codes(N: int, lo: int, hi: int) -> np.ndarray:
-    """Representatives lo..hi-1 as codes: symbol 0 fixed to +1, the rest from bits."""
-    ks = np.arange(lo, hi, dtype=np.int64)
-    bits = (ks[:, None] >> np.arange(N - 2, -1, -1)) & 1
-    codes = np.empty((hi - lo, N), dtype=np.int8)
-    codes[:, 0] = 1
-    codes[:, 1:] = 2 * bits - 1
-    return codes
-
-
 def _symmetry_orbit(code: np.ndarray) -> np.ndarray:
     """The 8 codes that share the gamma of ``code``: negation x reversal x alternation.
 
@@ -211,38 +204,55 @@ def _symmetry_orbit(code: np.ndarray) -> np.ndarray:
     return np.concatenate([base, -base])
 
 
-def brute_force_best(N: int, fold_reversal: bool = False) -> tuple[PhaseCode, float]:
+def _orbit_minima(N: int, ks: np.ndarray) -> np.ndarray:
+    """Which N-bit code indices are the least of their symmetry orbit.
+
+    Index k holds symbol n in bit N-1-n with +1 as 1, so integer order is
+    lexicographic order with -1 before +1. Negation is ``k ^ full``,
+    alternation ``k ^ alt`` and reversal the N-bit reversal of k, read
+    through a byte table; the 8 images are those of ``_symmetry_orbit``.
+    """
+    full = (1 << N) - 1
+    alt = sum(1 << (N - 1 - n) for n in range(1, N, 2))
+    width = -(-N // 8) * 8
+    rev = np.zeros_like(ks)
+    for shift in range(0, width, 8):
+        rev = (rev << 8) | _REVERSED_BYTES[(ks >> shift) & 0xFF]
+    rev >>= width - N
+    least = rev
+    for mask in (full, alt, alt ^ full):
+        least = np.minimum(least, np.minimum(ks ^ mask, rev ^ mask))
+    return ks <= least
+
+
+def brute_force_best(N: int) -> tuple[PhaseCode, float]:
     """Exact argmax of fitness over all bipolar codes of length N.
 
-    Enumerates one representative per negation pair (fitness is exactly even
-    in the code), optionally also folding the reversal symmetry. Ties
-    resolve to the lexicographically smallest optimal code with -1 ordered
-    before +1, independent of enumeration order. Symmetric codes tie
-    exactly, but rounding splits their gammas by a few ulps, so every code
-    within ``_TIE_RTOL`` of the best gamma counts as tied and is expanded
-    through its ``_symmetry_orbit``. Returns that code and the best gamma.
+    Scores one code per ``_symmetry_orbit``, its lexicographic minimum, since
+    negation, reversal and alternation keep gamma exactly. Ties resolve to
+    the lexicographically smallest optimal code with -1 ordered before +1.
+    Symmetric codes tie exactly, but rounding splits their gammas by a few
+    ulps, so every scored code within ``_TIE_RTOL`` of the best gamma counts
+    as tied and its whole orbit is scored: the returned gamma is the best
+    over those candidates, which is the best over all 2^N codes, and the
+    returned code is the smallest candidate.
     """
     if not 2 <= N <= _BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force supports 2 <= N <= {_BRUTE_FORCE_MAX_N}, got {N}")
+    # Every orbit holds a code with symbol 0 = -1, the top bit clear.
     total = 1 << (N - 1)
     chunk = 8192
+    bit_shifts = np.arange(N - 1, -1, -1)
     best_gamma = float("-inf")
     near_codes: list[np.ndarray] = []
     near_gammas: list[np.ndarray] = []
     for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        codes = _chunk_codes(N, lo, hi)
-        if fold_reversal:
-            rev = codes[:, ::-1]
-            rev = np.where(rev[:, :1] < 0, -rev, rev)  # normalize to s[0] = +1
-            # Drop rows whose normalized reversal is lex-smaller: that
-            # representative covers the pair.
-            codes = codes[~_lex_less_rows(rev, codes)]
-            if codes.shape[0] == 0:
-                continue
+        ks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        ks = ks[_orbit_minima(N, ks)]
+        codes = (2 * ((ks[:, None] >> bit_shifts) & 1) - 1).astype(np.int8)
         gammas = fitness_batch(codes)
         gammas = np.where(np.isfinite(gammas), gammas, float("-inf"))
-        best_gamma = max(best_gamma, float(gammas.max()))
+        best_gamma = float(gammas.max(initial=best_gamma))
         # Every defined gamma is > 0, so this keeps the near-ties of the best.
         near = gammas >= best_gamma * (1 - _TIE_RTOL)
         near_codes.append(codes[near])
@@ -252,18 +262,4 @@ def brute_force_best(N: int, fold_reversal: bool = False) -> tuple[PhaseCode, fl
     ]
     candidates = np.concatenate([_symmetry_orbit(c) for c in tied])
     best = min(candidates.tolist())  # lists compare lexicographically
-    return np.array(best, dtype=np.int8), best_gamma
-
-
-def _lex_less_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise lexicographic a < b for equal-shape integer matrices."""
-    result = np.zeros(a.shape[0], dtype=bool)
-    undecided = np.ones(a.shape[0], dtype=bool)
-    for col in range(a.shape[1]):
-        lt = undecided & (a[:, col] < b[:, col])
-        gt = undecided & (a[:, col] > b[:, col])
-        result |= lt
-        undecided &= ~(lt | gt)
-        if not undecided.any():
-            break
-    return result
+    return np.array(best, dtype=np.int8), float(fitness_batch(candidates).max())

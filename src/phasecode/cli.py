@@ -272,7 +272,8 @@ def cmd_sweep(args) -> int:
             f"got [{args.lo}, {args.hi}]"
         )
     out = _out_dir(args)
-    base_seed = args.seed if args.seed is not None else 0
+    # --seed, else the config file's seed, else the GaConfig default.
+    base_seed = _build_ga_config(args, N=args.lo).seed
     rows = []
     for n in range(args.lo, args.hi + 1):
         config = _build_ga_config(args, N=n, seed=derive_sweep_seed(base_seed, n))
@@ -323,14 +324,13 @@ def cmd_study(args) -> int:
 def cmd_bruteforce(args) -> int:
     out = _out_dir(args)
     t0 = time.perf_counter()
-    code, gamma = baselines.brute_force_best(args.N, fold_reversal=args.fold_reversal)
+    code, gamma = baselines.brute_force_best(args.N)
     _write_result(
         out / f"bruteforce_N{args.N}.result.txt",
         {
             "mode": "bruteforce",
             "N": args.N,
             "gamma": _fmt(gamma),
-            "fold_reversal": args.fold_reversal,
             "elapsed_seconds_total": f"{time.perf_counter() - t0:.6f}",
         },
         code,
@@ -447,7 +447,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bruteforce", help="exact optimum by exhaustive enumeration")
     _add_common_flags(p)
     p.add_argument("N", type=int)
-    p.add_argument("--fold-reversal", action="store_true")
     p.set_defaults(func=cmd_bruteforce)
 
     p = sub.add_parser("randomsearch", help="uniform random search baseline")

@@ -58,18 +58,13 @@ def _key_words(codes: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1).view(">u8").astype(np.uint64)
 
 
-def code_key(s: np.ndarray) -> bytes:
-    """Canonical hashable key for a code (exact symbol sequence); see ``unique_rows``."""
-    return _key_words(np.asarray(s)[None, :]).tobytes()
-
-
 def unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of a (B, N) code matrix, numbered in order of first occurrence.
 
-    Returns ``keys`` (the ``code_key`` bytes of each distinct row: its 8 W
-    key-word bytes as a void array), ``first`` (ascending index of each
-    distinct row's first occurrence) and ``inverse`` (the distinct-row number
-    of every row), so ``codes[first][inverse]`` equals ``codes``.
+    Returns ``keys`` (each distinct row's 8 W ``_key_words`` bytes as a void
+    array, whose ``tolist`` gives the bytes), ``first`` (ascending index of
+    each distinct row's first occurrence) and ``inverse`` (the distinct-row
+    number of every row), so ``codes[first][inverse]`` equals ``codes``.
 
     One stable lexicographic sort of the key words groups equal rows with the
     first occurrence leading each group.

@@ -200,14 +200,14 @@ def fitness_batch(codes: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FitnessCache:
-    """Gamma store keyed by ``code_key`` (exact symbol sequence); counts distinct evaluations.
+    """Gamma store keyed by exact symbol sequence; counts distinct evaluations.
 
-    ``gammas`` maps a code's key (its sign bits and a stop bit, packed into
-    64-bit words) to its gamma, NaN when undefined. ``miss_count`` is the
-    number of distinct codes ever evaluated through the cache, the "visited
-    states" metric; a code and its negation are two states. ``hit_count``
-    counts the rows that found their code already stored. ``ga.score_codes``
-    fills the store and both counters.
+    ``gammas`` maps a code's ``codes.unique_rows`` key (its sign bits and a
+    stop bit, packed into 64-bit words) to its gamma, NaN when undefined.
+    ``miss_count`` is the number of distinct codes ever evaluated through the
+    cache, the "visited states" metric; a code and its negation are two
+    states. ``hit_count`` counts the rows that found their code already
+    stored. ``ga.score_codes`` fills the store and both counters.
     """
 
     gammas: dict[bytes, float] = field(default_factory=dict)

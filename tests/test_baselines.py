@@ -13,8 +13,8 @@ from phasecode.baselines import (
 from phasecode.codes import random_code
 from phasecode.fitness import FitnessCache, fitness, fitness_batch
 
-# Frozen at first computation: exact optimum for N=12 (negation-folded
-# enumeration of all 2048 representatives). The exact gamma is
+# Frozen at first computation: exact optimum for N=12 (enumeration of one
+# code per symmetry orbit, 528 of the 4096 codes). The exact gamma is
 # 2442052/170569, shared by the 8-code symmetry orbit of the code; the pin is
 # the orbit's lexicographic minimum, as the tie rule documents.
 N12_OPTIMAL_GAMMA = 14.317091616882326
@@ -96,15 +96,20 @@ class TestRandomSearch:
             random_search(10, 0, np.random.default_rng(0))
 
 
+def all_codes(n):
+    """All 2^n codes of length n, in lexicographic order with -1 first."""
+    ks = np.arange(1 << n, dtype=np.int64)
+    bits = (ks[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return (2 * bits - 1).astype(np.int8)
+
+
 def full_enumeration_oracle(n):
     """Independent exhaustive argmax over all 2^n codes (no symmetry folding).
 
     Gammas within 1e-12 relative of the top count as ties: rounding splits
     the exact ties of symmetric codes by a few ulps.
     """
-    ks = np.arange(1 << n, dtype=np.int64)
-    bits = (ks[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    codes = (2 * bits - 1).astype(np.int8)
+    codes = all_codes(n)
     gammas = fitness_batch(codes)
     top = float(np.nanmax(gammas))
     ties = [codes[i] for i in np.nonzero(gammas >= top * (1 - 1e-12))[0]]
@@ -125,7 +130,7 @@ class TestBruteForce:
         assert code.tolist() == N12_OPTIMAL_CODE
 
     def test_matches_full_enumeration_for_small_n(self):
-        for n in range(2, 11):
+        for n in range(2, 15):
             folded_code, folded_gamma = brute_force_best(n)
             oracle_code, oracle_gamma = full_enumeration_oracle(n)
             assert folded_gamma == oracle_gamma
@@ -145,12 +150,33 @@ class TestBruteForce:
             ]
             assert code.tolist() == min(orbit), n
 
-    def test_reversal_fold_finds_same_optimum_value(self):
-        for n in range(2, 11):
-            _, plain = brute_force_best(n)
-            folded_code, folded = brute_force_best(n, fold_reversal=True)
-            assert folded == pytest.approx(plain, rel=1e-12)
-            assert fitness(folded_code).gamma == pytest.approx(folded, rel=1e-12)
+    def test_orbit_minimum_filter_matches_symmetry_orbit(self):
+        for n in range(2, 13):
+            keep = baselines._orbit_minima(n, np.arange(1 << n, dtype=np.int64))
+            for k, code in enumerate(all_codes(n)):
+                least = min(baselines._symmetry_orbit(code).tolist())
+                assert keep[k] == (code.tolist() == least), (n, k)
+
+    def test_scores_one_code_per_orbit(self, monkeypatch):
+        for n in range(2, 15):
+            scored = []
+
+            def recording_batch(codes):
+                scored.append(codes.copy())
+                return fitness_batch(codes)
+
+            monkeypatch.setattr(baselines, "fitness_batch", recording_batch)
+            brute_force_best(n)
+            # The last call re-scores the orbits of the near-tied codes.
+            enumerated = np.concatenate(scored[:-1]).tolist()
+            orbits = {
+                tuple(min(baselines._symmetry_orbit(code).tolist()))
+                for code in all_codes(n)
+            }
+            if n == 12:
+                assert len(orbits) == 528
+            assert len(enumerated) == len(orbits), n
+            assert set(map(tuple, enumerated)) == orbits, n
 
     def test_dominates_random_codes(self):
         _, gamma = brute_force_best(10)

@@ -210,6 +210,19 @@ class TestSweepCommand:
             solo / f"search_N10_seed{derived}.log.csv")
         assert sweep_log == solo_log
 
+    def test_config_file_seed_is_the_base_seed(self, tmp_path):
+        cfg = tmp_path / "ga.conf"
+        cfg.write_text("N_G = 2\nP = 60\nE = 12\nseed = 9\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "9", "10", "--config", str(cfg), "--out", str(out)]) == 0
+        for n in (9, 10):
+            assert (out / f"search_N{n}_seed{derive_sweep_seed(9, n)}.result.txt").exists()
+        flag = tmp_path / "flag"
+        assert main(["sweep", "9", "10", "--config", str(cfg), "--seed", "5",
+                     "--out", str(flag)]) == 0
+        for n in (9, 10):
+            assert (flag / f"search_N{n}_seed{derive_sweep_seed(5, n)}.result.txt").exists()
+
     def test_summary_has_one_row_per_length(self, tmp_path):
         out = tmp_path / "sweep"
         args = ["--N_G", "3", "--P", "80", "--E", "16", "--M", "5", "--seed", "1"]
@@ -285,6 +298,12 @@ class TestBruteforceCommand:
 
     def test_overlarge_length_rejected(self, tmp_path):
         assert main(["bruteforce", "24", "--out", str(tmp_path)]) == 1
+
+    def test_removed_fold_reversal_flag_is_config_error(self, tmp_path, capsys):
+        assert main(["bruteforce", "12", "--out", str(tmp_path), "--fold-reversal"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --fold-reversal" in err
+        assert "Traceback" not in err
 
 
 class TestRandomsearchCommand:

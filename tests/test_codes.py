@@ -1,5 +1,7 @@
 """Shift/correlation primitives, code generators, and the text format."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from phasecode.codes import (
     ParseError,
     as_code,
     autocorrelation,
-    code_key,
     cross_correlation,
     format_code,
     legendre_code,
@@ -203,6 +204,21 @@ class TestAsCode:
             as_code([[1, -1], [1, 1]])
 
 
+def packed_key(code):
+    """Reference key: the sign bits, a 1 stop bit and zero padding, read as
+    big-endian 64-bit words, each stored as a native uint64."""
+    n = len(code)
+    bits = "".join("1" if v > 0 else "0" for v in code) + "1"
+    bits += "0" * (64 * (n // 64 + 1) - len(bits))
+    words = (int(bits[i : i + 64], 2) for i in range(0, len(bits), 64))
+    return b"".join(w.to_bytes(8, sys.byteorder) for w in words)
+
+
+def row_key(code):
+    """The key ``unique_rows`` gives a single code."""
+    return unique_rows(np.asarray(code)[None])[0].tolist()[0]
+
+
 def _code_blocks():
     """(B, N) int8 code blocks, B up to 40, drawn from a few distinct rows so repeats are common.
 
@@ -234,7 +250,7 @@ class TestUniqueRows:
         keys, first, inverse = unique_rows(codes)
         assert first.tolist() == ref_first
         assert inverse.tolist() == ref_inverse
-        assert keys.tolist() == [code_key(codes[i]) for i in ref_first]
+        assert keys.tolist() == [packed_key(codes[i]) for i in ref_first]
         assert np.array_equal(codes[first][inverse], codes)
 
     def test_key_is_one_to_one_across_lengths(self):
@@ -243,5 +259,8 @@ class TestUniqueRows:
         for n in (9, 63, 64, 127):
             s = random_code(n, np.random.default_rng(30))
             longer = np.append(s, -1).astype(np.int8)
-            assert code_key(s) != code_key(longer), n
-            assert code_key(s) != code_key(np.append(longer, -1)), n
+            longest = np.append(longer, -1).astype(np.int8)
+            for code in (s, longer, longest):
+                assert row_key(code) == packed_key(code), n
+            assert row_key(s) != row_key(longer), n
+            assert row_key(s) != row_key(longest), n

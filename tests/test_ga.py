@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phasecode import ga
-from phasecode.codes import as_code, code_key, random_code
+from phasecode.codes import as_code, random_code, unique_rows
 from phasecode.fitness import FitnessCache, fitness, fitness_batch
 from phasecode.ga import (
     GaConfig,
@@ -415,7 +415,7 @@ class TestScoreCodes:
         block = distinct[rng.integers(0, 6, size=40)]
         undefined = block[0]
         cache = FitnessCache()
-        cache.gammas[code_key(undefined)] = float("nan")
+        cache.gammas[unique_rows(undefined[None])[0].tolist()[0]] = float("nan")
         scored = []
 
         def recording_batch(codes):
