@@ -16,8 +16,6 @@ from .codes import (
     shifted,
 )
 from .fitness import (
-    FitnessCache,
-    FitnessScore,
     build_clutter_matrix,
     fitness,
     fitness_batch,

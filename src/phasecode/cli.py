@@ -252,8 +252,8 @@ def cmd_eval(args) -> int:
         return 0
     best = scr(code, x)
     mf = matched_filter_scr(code)
-    print(f"gamma (optimal mismatched filter) = {best.gamma:.6f}")
-    print(f"gamma (matched filter) = {mf.gamma:.6f}")
+    print(f"gamma (optimal mismatched filter) = {best:.6f}")
+    print(f"gamma (matched filter) = {mf:.6f}")
     print("optimal filter x*:")
     for lo in range(0, n, 8):
         vals = ", ".join(f"{v: .6f}" for v in x[lo : lo + 8])
@@ -369,12 +369,12 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.filter == "matched":
         x = np.asarray(code, dtype=float)
-        analytic = matched_filter_scr(code).gamma
+        analytic = matched_filter_scr(code)
     else:
         x = optimal_filter(code)
         if x is None:
             raise RuntimeError("clutter matrix is singular; no optimal filter")
-        analytic = fitness(code).gamma
+        analytic = fitness(code)
     rng = np.random.default_rng(seed)
     estimate = echo.empirical_sir(
         code, x, args.trials, rng, distribution=args.distribution

@@ -46,10 +46,13 @@ def as_code(values) -> PhaseCode:
 def _key_words(codes: np.ndarray) -> np.ndarray:
     """(B, W) uint64 key words of a (B, N) code matrix, W = N // 64 + 1.
 
-    Each row packs the N sign bits, then a 1 stop bit, then zero padding, as
-    big-endian words, so comparing rows word by word orders them as their
-    bytes. The stop bit keeps a code from colliding with the same code
-    extended by -1 symbols: the key is one-to-one across code lengths.
+    Each row packs the N sign bits, then a 1 stop bit, then zero padding.
+    Each word's value reads its 64 bits big-endian (symbol 0 is the top bit
+    of word 0), so comparing rows word by word orders them as bit strings.
+    The words are stored in machine byte order, so a key's bytes differ
+    between platforms; they only ever key one process's score cache. The
+    stop bit keeps a code from colliding with the same code extended by -1
+    symbols: the key is one-to-one across code lengths.
     """
     b, n = codes.shape
     bits = np.zeros((b, 64 * (n // 64 + 1)), dtype=bool)

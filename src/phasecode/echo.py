@@ -50,9 +50,10 @@ def empirical_sir(
 
     Per trial the clutter coefficients are i.i.d. zero-mean unit-variance
     (h0 = 1, noise off), so the mean squared clutter power converges to the
-    analytic denominator and the estimate converges to scr(s, x). Returns
-    +inf when the clutter response is identically zero (degenerate pair).
-    Trials are drawn in fixed chunk order, so fixed seeds reproduce exactly.
+    analytic denominator and the estimate converges to scr(s, x). As in
+    ``scr``, a zero filter raises ValueError and a clutter power of 0 gives
+    NaN (undefined). Trials are drawn in fixed chunk order, so fixed seeds
+    reproduce exactly.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -60,6 +61,8 @@ def empirical_sir(
     n = len(s)
     if len(x) != n:
         raise ValueError(f"length mismatch: filter {len(x)} vs code {n}")
+    if not np.any(x):
+        raise ValueError("filter must not be the zero vector")
     # Per-lag filter response; the per-trial clutter term is just h . response.
     response = np.array([float(x @ shifted(s, int(lag))) for lag in lag_values(n)])
     peak = float(x @ np.asarray(s, dtype=np.float64))
@@ -72,5 +75,5 @@ def empirical_sir(
         done += m
     denom = total / trials
     if denom == 0.0:
-        return math.inf
+        return math.nan
     return peak * peak / denom

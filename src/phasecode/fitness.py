@@ -32,9 +32,6 @@ Two routes evaluate the quadratic form:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
-
 import numpy as np
 
 from .codes import PhaseCode, autocorrelation, shifted
@@ -51,16 +48,6 @@ _CHUNK = 1024
 # N = 100): R is numerically singular and the oracle decides whether it is
 # defined.
 _MIN_ONE_MINUS_Q = 1e-9
-
-
-class FitnessScore(NamedTuple):
-    """SCR value of a code; ``defined`` is False when R is numerically singular."""
-
-    gamma: float
-    defined: bool = True
-
-
-UNDEFINED_SCORE = FitnessScore(float("nan"), False)
 
 
 def build_clutter_matrix(s: PhaseCode) -> np.ndarray:
@@ -91,11 +78,12 @@ def optimal_filter(s: PhaseCode) -> np.ndarray | None:
     return _spd_solve(build_clutter_matrix(s), sf)
 
 
-def scr(s: PhaseCode, x: np.ndarray) -> FitnessScore:
+def scr(s: PhaseCode, x: np.ndarray) -> float:
     """Signal-to-clutter ratio of the pair (s, x), summing squared correlations lag by lag.
 
     This is the literal definition and serves as the independent check of
-    ``fitness``; it never goes through the solver.
+    ``fitness``; it never goes through the solver. NaN when the clutter
+    power is 0 (undefined).
     """
     x = np.asarray(x, dtype=np.float64)
     if len(x) != len(s):
@@ -110,22 +98,19 @@ def scr(s: PhaseCode, x: np.ndarray) -> FitnessScore:
             continue
         clutter += float(x @ shifted(s, i)) ** 2
     if clutter == 0.0:
-        return UNDEFINED_SCORE
-    return FitnessScore(peak * peak / clutter)
+        return float("nan")
+    return peak * peak / clutter
 
 
-def matched_filter_scr(s: PhaseCode) -> FitnessScore:
+def matched_filter_scr(s: PhaseCode) -> float:
     """SCR of the matched filter x = s; never exceeds the mismatched optimum."""
     return scr(s, np.asarray(s, dtype=np.float64))
 
 
-def fitness(s: PhaseCode) -> FitnessScore:
-    """Optimal-filter SCR s^T R^{-1} s via the SPD solve."""
-    sf = np.asarray(s, dtype=np.float64)
-    x = _spd_solve(build_clutter_matrix(s), sf)
-    if x is None:
-        return UNDEFINED_SCORE
-    return FitnessScore(float(sf @ x))
+def fitness(s: PhaseCode) -> float:
+    """Optimal-filter SCR s^T R^{-1} s via the SPD solve; NaN when R is singular."""
+    x = optimal_filter(s)
+    return float("nan") if x is None else float(np.asarray(s, dtype=np.float64) @ x)
 
 
 def _fitness_chunk(codes: np.ndarray) -> np.ndarray:
@@ -183,8 +168,7 @@ def _fitness_chunk(codes: np.ndarray) -> np.ndarray:
         ok &= den > _MIN_ONE_MINUS_Q * r0 * beta
     # ``fitness`` is looked up here at call time, so it can be wrapped.
     for k in np.nonzero(~ok)[0]:
-        score = fitness(codes[k])
-        gamma[k] = score.gamma if score.defined else np.nan
+        gamma[k] = fitness(codes[k])
     return gamma
 
 
@@ -197,22 +181,3 @@ def fitness_batch(codes: np.ndarray) -> np.ndarray:
         [_fitness_chunk(codes[lo : lo + _CHUNK]) for lo in range(0, codes.shape[0], _CHUNK)]
     )
 
-
-@dataclass
-class FitnessCache:
-    """Gamma store keyed by exact symbol sequence; counts distinct evaluations.
-
-    ``gammas`` maps a code's ``codes.unique_rows`` key (its sign bits and a
-    stop bit, packed into 64-bit words) to its gamma, NaN when undefined.
-    ``miss_count`` is the number of distinct codes ever evaluated through the
-    cache, the "visited states" metric; a code and its negation are two
-    states. ``hit_count`` counts the rows that found their code already
-    stored. ``ga.score_codes`` fills the store and both counters.
-    """
-
-    gammas: dict[bytes, float] = field(default_factory=dict)
-    miss_count: int = 0
-    hit_count: int = 0
-
-    def __len__(self) -> int:
-        return len(self.gammas)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codes import CODE_DTYPE, PhaseCode, as_code, random_codes, unique_rows
-from .fitness import FitnessCache, fitness_batch
+from .fitness import fitness_batch
 
 
 @dataclass(frozen=True)
@@ -120,34 +120,28 @@ def init_population(config: GaConfig, rng: np.random.Generator) -> Population:
     return Population(generation=0, codes=codes)
 
 
-def score_codes(codes: np.ndarray, cache: FitnessCache) -> np.ndarray:
-    """Gammas of a (B, N) code matrix through the cache, -inf where undefined.
+def score_codes(codes: np.ndarray, cache: dict[bytes, float]) -> tuple[np.ndarray, int]:
+    """Gammas of a (B, N) code matrix, -inf where undefined, and its distinct-row count.
 
-    Each distinct code the cache has not seen is a miss; every other row is a
-    hit. The new codes are scored in one ``fitness_batch`` call, in order of
-    first occurrence.
+    ``cache`` maps a code's ``codes.unique_rows`` key to its gamma, NaN when
+    undefined, so ``len(cache)`` counts the distinct codes ever scored: the
+    "visited states" (a code and its negation are two). The codes it lacks
+    are scored in one ``fitness_batch`` call, in order of first occurrence.
     """
-    return _score_distinct(codes, cache)[0]
-
-
-def _score_distinct(codes: np.ndarray, cache: FitnessCache) -> tuple[np.ndarray, int]:
-    """``score_codes`` and the number of distinct rows it found."""
     keys, first, inverse = unique_rows(codes)
     keys = keys.tolist()
     # -1 marks a missing code: a defined gamma is positive, an undefined one NaN.
-    gammas = np.fromiter(map(cache.gammas.get, keys, repeat(-1.0)), np.float64, len(keys))
+    gammas = np.fromiter(map(cache.get, keys, repeat(-1.0)), np.float64, len(keys))
     new = np.flatnonzero(gammas < 0)
     if new.size:
         gammas[new] = fitness_batch(codes[first[new]])
-        cache.gammas.update(zip([keys[i] for i in new], gammas[new].tolist()))
-        cache.miss_count += new.size
-    cache.hit_count += codes.shape[0] - new.size
+        cache.update(zip([keys[i] for i in new], gammas[new].tolist()))
     return np.where(np.isnan(gammas), -np.inf, gammas)[inverse], len(keys)
 
 
-def evaluate(pop: Population, cache: FitnessCache) -> Population:
+def evaluate(pop: Population, cache: dict[bytes, float]) -> Population:
     """Fill every score through the cache (``score_codes``) and count the distinct codes."""
-    pop.gammas, pop.distinct_members = _score_distinct(pop.codes, cache)
+    pop.gammas, pop.distinct_members = score_codes(pop.codes, cache)
     return pop
 
 
@@ -294,7 +288,7 @@ def mutate(children: np.ndarray, p_muta: float, rng: np.random.Generator) -> np.
 def step_generation(
     pop: Population,
     config: GaConfig,
-    cache: FitnessCache,
+    cache: dict[bytes, float],
     rng: np.random.Generator,
 ) -> Population:
     """One full generation step; returns the evaluated generation k+1.
@@ -318,16 +312,14 @@ def step_generation(
     return evaluate(nxt, cache)
 
 
-def _population_stats(
-    pop: Population, cache: FitnessCache, t0: float
-) -> GenerationStats:
+def _population_stats(pop: Population, visited: int, t0: float) -> GenerationStats:
     finite = pop.gammas[np.isfinite(pop.gammas)]
     return GenerationStats(
         k=pop.generation,
         best_gamma=float(pop.gammas.max()),
         mean_gamma=float(finite.mean()) if finite.size else float("nan"),
         distinct_members=pop.distinct_members,
-        visited_states=cache.miss_count,
+        visited_states=visited,
         elapsed_seconds=time.perf_counter() - t0,
     )
 
@@ -348,7 +340,7 @@ def run(
     if stop_gamma is not None and not math.isfinite(stop_gamma):
         raise ValueError(f"stop_gamma must be finite, got {stop_gamma}")
     rng = np.random.default_rng(config.seed)
-    cache = FitnessCache()
+    cache: dict[bytes, float] = {}
     t0 = time.perf_counter()
 
     pop = evaluate(init_population(config, rng), cache)
@@ -356,7 +348,7 @@ def run(
     best_code = pop.codes[best_idx].copy()
     best_gamma = float(pop.gammas[best_idx])
 
-    history = [_population_stats(pop, cache, t0)]
+    history = [_population_stats(pop, len(cache), t0)]
     if on_generation:
         on_generation(history[-1])
 
@@ -368,7 +360,7 @@ def run(
         if float(pop.gammas[idx]) > best_gamma:
             best_gamma = float(pop.gammas[idx])
             best_code = pop.codes[idx].copy()
-        history.append(_population_stats(pop, cache, t0))
+        history.append(_population_stats(pop, len(cache), t0))
         if on_generation:
             on_generation(history[-1])
 
@@ -377,6 +369,6 @@ def run(
         best_gamma=best_gamma,
         history=history,
         config=config,
-        total_visited_states=cache.miss_count,
-        total_evaluations=cache.miss_count + cache.hit_count,
+        total_visited_states=len(cache),
+        total_evaluations=config.P * len(history),
     )

@@ -33,7 +33,6 @@ from phasecode.ga import (
     tournament_select,
     tournament_win_probability,
 )
-from phasecode.fitness import FitnessCache
 
 N12_OPTIMAL_GAMMA = 14.317091616882326
 
@@ -62,11 +61,11 @@ class TestCriterion1PublishedScr:
     @pytest.mark.parametrize("name", ["legendre", "alphaseq", "hpgan", "ga"])
     def test_published_scr_reproduction(self, name):
         score = fitness(known_code(name).code)
-        ok = score.defined and abs(score.gamma - PUBLISHED[name]) <= 0.01
+        ok = abs(score - PUBLISHED[name]) <= 0.01
         report(
             f"1 published-scr[{name}]",
             ok,
-            f"recomputed {score.gamma:.4f} vs published {PUBLISHED[name]:.2f} +-0.01",
+            f"recomputed {score:.4f} vs published {PUBLISHED[name]:.2f} +-0.01",
         )
         assert ok
 
@@ -77,10 +76,10 @@ class TestCriterion2OptimalityChain:
         worst_rel = 0.0
         for _ in range(1000):
             s = random_code(59, rng)
-            f = fitness(s).gamma
-            mf = matched_filter_scr(s).gamma
+            f = fitness(s)
+            mf = matched_filter_scr(s)
             assert f >= mf - 1e-9
-            rel = abs(f - scr(s, optimal_filter(s)).gamma) / f
+            rel = abs(f - scr(s, optimal_filter(s))) / f
             worst_rel = max(worst_rel, rel)
             assert rel <= 1e-6
         report(
@@ -153,7 +152,7 @@ class TestCriterion5MonteCarloValidation:
 
     def test_matched_filter_estimate_for_legendre(self):
         s = known_code("legendre").code
-        analytic = matched_filter_scr(s).gamma
+        analytic = matched_filter_scr(s)
         est = empirical_sir(s, np.asarray(s, float), 100_000, np.random.default_rng(8))
         rel = abs(est - analytic) / analytic
         ok = rel <= 0.03
@@ -271,8 +270,8 @@ class TestCriterion7DeterminismAndInvariants:
         worst_rev = 0.0
         for _ in range(100):
             s = random_code(59, rng)
-            assert fitness(s).gamma == fitness(as_code(-s)).gamma  # exact
-            a, b = fitness(s).gamma, fitness(as_code(s[::-1])).gamma
+            assert fitness(s) == fitness(as_code(-s))  # exact
+            a, b = fitness(s), fitness(as_code(s[::-1]))
             worst_rev = max(worst_rev, abs(a - b) / a)
             assert abs(a - b) / a <= 1e-9
         report(

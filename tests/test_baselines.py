@@ -11,7 +11,7 @@ from phasecode.baselines import (
     random_search,
 )
 from phasecode.codes import random_code
-from phasecode.fitness import FitnessCache, fitness, fitness_batch
+from phasecode.fitness import fitness, fitness_batch
 
 # Frozen at first computation: exact optimum for N=12 (enumeration of one
 # code per symmetry orbit, 528 of the 4096 codes). The exact gamma is
@@ -36,7 +36,7 @@ class TestKnownCodes:
 
     def test_registry_self_check_recomputes_fitness(self):
         for k in known_codes():
-            assert fitness(k.code).gamma == pytest.approx(
+            assert fitness(k.code) == pytest.approx(
                 k.published_gamma, abs=baselines.GAMMA_TOLERANCE
             )
 
@@ -53,6 +53,11 @@ class TestKnownCodes:
         with pytest.raises(RuntimeError):
             known_codes()
 
+    def test_gamma_guard_trips_on_undefined_score(self, monkeypatch):
+        monkeypatch.setattr(baselines, "fitness", lambda code: float("nan"))
+        with pytest.raises(RuntimeError, match="recomputed nan"):
+            known_codes()
+
     def test_lookup_by_name(self):
         assert known_code("ga").published_gamma == 50.84
         with pytest.raises(KeyError):
@@ -63,7 +68,7 @@ class TestRandomSearch:
     def test_single_draw(self):
         res = random_search(12, 1, np.random.default_rng(0))
         assert res.total_visited_states == 1
-        assert res.best_gamma == pytest.approx(fitness(res.best_code).gamma)
+        assert res.best_gamma == pytest.approx(fitness(res.best_code))
 
     def test_trajectory_non_decreasing(self):
         res = random_search(16, 5000, np.random.default_rng(1))
@@ -82,14 +87,7 @@ class TestRandomSearch:
 
     def test_best_matches_recomputed_fitness(self):
         res = random_search(20, 3000, np.random.default_rng(4))
-        assert res.best_gamma == pytest.approx(fitness(res.best_code).gamma, rel=1e-9)
-
-    def test_shared_cache_is_reused(self):
-        cache = FitnessCache()
-        random_search(10, 500, np.random.default_rng(5), cache=cache)
-        first = cache.miss_count
-        random_search(10, 500, np.random.default_rng(5), cache=cache)
-        assert cache.miss_count == first  # same draws, all cached
+        assert res.best_gamma == pytest.approx(fitness(res.best_code), rel=1e-9)
 
     def test_budget_validated(self):
         with pytest.raises(ValueError):

@@ -64,7 +64,7 @@ class TestSearchCommand:
             meta[key] = value
         code = parse_code(meta["code"])
         stored = float(meta["gamma"])
-        recomputed = fitness(code).gamma
+        recomputed = fitness(code)
         assert abs(stored - recomputed) / recomputed <= 1e-6
         assert int(meta["N"]) == 16
         assert int(meta["seed"]) == 4

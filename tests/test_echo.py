@@ -176,7 +176,7 @@ class TestEmpiricalSir:
             n = int(rng.integers(4, 16))
             s = random_code(n, rng)
             x = rng.normal(size=n)
-            analytic = scr(s, x).gamma
+            analytic = scr(s, x)
             est = empirical_sir(s, x, trials, np.random.default_rng(rng.integers(1 << 30)))
             assert abs(est - analytic) / analytic <= tol
 
@@ -184,14 +184,14 @@ class TestEmpiricalSir:
         rng = np.random.default_rng(10)
         s = random_code(21, rng)
         est = empirical_sir(s, np.asarray(s, float), 100_000, np.random.default_rng(11))
-        assert est == pytest.approx(matched_filter_scr(s).gamma, rel=0.03)
+        assert est == pytest.approx(matched_filter_scr(s), rel=0.03)
 
     def test_optimal_filter_estimate(self):
         rng = np.random.default_rng(12)
         s = random_code(21, rng)
         x = optimal_filter(s)
         est = empirical_sir(s, x, 100_000, np.random.default_rng(13))
-        assert est == pytest.approx(scr(s, x).gamma, rel=0.03)
+        assert est == pytest.approx(scr(s, x), rel=0.03)
 
     def test_uniform_clutter_mode_converges_too(self):
         rng = np.random.default_rng(14)
@@ -200,7 +200,7 @@ class TestEmpiricalSir:
         est = empirical_sir(
             s, x, 100_000, np.random.default_rng(15), distribution="uniform"
         )
-        assert est == pytest.approx(scr(s, x).gamma, rel=0.05)
+        assert est == pytest.approx(scr(s, x), rel=0.05)
 
     def test_unknown_distribution_rejected(self):
         rng = np.random.default_rng(16)
@@ -216,10 +216,18 @@ class TestEmpiricalSir:
         b = empirical_sir(s, x, 5000, np.random.default_rng(42))
         assert a == b
 
-    def test_zero_clutter_response_returns_infinity(self):
+    def test_zero_filter_rejected(self):
+        # The same rule as ``scr``: a zero filter has no SCR, even 0/0.
         s = as_code([1, -1, 1])
-        est = empirical_sir(s, np.zeros(3), 100, np.random.default_rng(0))
-        assert math.isinf(est)
+        with pytest.raises(ValueError, match="zero vector"):
+            empirical_sir(s, np.zeros(3), 100, np.random.default_rng(0))
+
+    def test_underflowing_clutter_is_undefined_like_scr(self):
+        # Squared responses of 1e-200 underflow to 0: both routes read 0/0.
+        s = as_code([1, -1, 1])
+        x = np.full(3, 1e-200)
+        assert math.isnan(scr(s, x))
+        assert math.isnan(empirical_sir(s, x, 100, np.random.default_rng(0)))
 
     def test_needs_at_least_one_trial(self):
         s = as_code([1, -1, 1])

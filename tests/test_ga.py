@@ -7,7 +7,7 @@ import pytest
 
 from phasecode import ga
 from phasecode.codes import as_code, random_code, unique_rows
-from phasecode.fitness import FitnessCache, fitness, fitness_batch
+from phasecode.fitness import fitness, fitness_batch
 from phasecode.ga import (
     GaConfig,
     Population,
@@ -36,7 +36,7 @@ def small_config(**overrides):
 
 def evaluated_population(codes):
     pop = Population(generation=0, codes=np.asarray(codes, dtype=np.int8))
-    return evaluate(pop, FitnessCache())
+    return evaluate(pop, {})
 
 
 class TestGaConfig:
@@ -96,9 +96,9 @@ class TestEvaluate:
         rng = np.random.default_rng(1)
         code = random_code(12, rng)
         pop = Population(0, np.tile(code, (30, 1)))
-        cache = FitnessCache()
+        cache = {}
         evaluate(pop, cache)
-        assert cache.miss_count == 1
+        assert len(cache) == 1 and pop.distinct_members == 1
         assert np.allclose(pop.gammas, pop.gammas[0])
 
     def test_published_code_scores_correctly(self):
@@ -107,16 +107,16 @@ class TestEvaluate:
         s_ga = known_code("ga").code
         rng = np.random.default_rng(2)
         codes = np.vstack([s_ga, *(random_code(59, rng) for _ in range(9))])
-        pop = evaluate(Population(0, codes), FitnessCache())
+        pop = evaluate(Population(0, codes), {})
         assert pop.gammas[0] == pytest.approx(50.84, abs=0.01)
 
     def test_reevaluation_adds_no_misses(self):
         cfg = small_config()
-        cache = FitnessCache()
+        cache = {}
         pop = evaluate(init_population(cfg, np.random.default_rng(0)), cache)
-        before = cache.miss_count
+        before = dict(cache)
         evaluate(pop, cache)
-        assert cache.miss_count == before
+        assert cache == before
 
 
 class TestEliteSelect:
@@ -394,19 +394,20 @@ class TestScoreCodes:
     def test_matches_per_row_cached_fitness(self):
         rng = np.random.default_rng(26)
         distinct = np.stack([random_code(12, rng) for _ in range(30)])
-        cache = FitnessCache()
+        cache = {}
         seen = set()
         for _ in range(3):
             block = distinct[rng.integers(0, 30, size=50)]
-            before = cache.miss_count
-            gammas = score_codes(block, cache)
+            before = len(cache)
+            gammas, count = score_codes(block, cache)
             for row, g in zip(block, gammas):
-                assert g == pytest.approx(fitness(row).gamma, rel=1e-12)
-            new = {r.tobytes() for r in block} - seen
+                assert g == pytest.approx(fitness(row), rel=1e-12)
+            rows = {r.tobytes() for r in block}
+            assert count == len(rows)
+            new = rows - seen
             seen |= new
-            assert cache.miss_count - before == len(new)
-        assert cache.miss_count == len(seen)
-        assert cache.hit_count == 150 - len(seen)
+            assert len(cache) - before == len(new)
+        assert len(cache) == len(seen)
 
     def test_cached_undefined_code_is_a_hit(self, monkeypatch):
         # A NaN gamma in the cache is an undefined code, not a missing one.
@@ -414,8 +415,7 @@ class TestScoreCodes:
         distinct = np.stack([random_code(12, rng) for _ in range(6)])
         block = distinct[rng.integers(0, 6, size=40)]
         undefined = block[0]
-        cache = FitnessCache()
-        cache.gammas[unique_rows(undefined[None])[0].tolist()[0]] = float("nan")
+        cache = {unique_rows(undefined[None])[0].tolist()[0]: float("nan")}
         scored = []
 
         def recording_batch(codes):
@@ -423,14 +423,14 @@ class TestScoreCodes:
             return fitness_batch(codes)
 
         monkeypatch.setattr(ga, "fitness_batch", recording_batch)
-        gammas = score_codes(block, cache)
+        gammas, _ = score_codes(block, cache)
         is_undefined = (block == undefined).all(axis=1)
         assert np.all(gammas[is_undefined] == -np.inf)
         assert np.all(np.isfinite(gammas[~is_undefined]))
         assert len(scored) == 1
         assert not (scored[0] == undefined).all(axis=1).any()
         new = len({row.tobytes() for row in block}) - 1
-        assert (cache.miss_count, cache.hit_count) == (new, block.shape[0] - new)
+        assert len(scored[0]) == new and len(cache) == new + 1
 
 
 class TestPadPopulation:
@@ -460,7 +460,7 @@ class TestStepGeneration:
     def test_population_size_invariant_over_many_steps(self):
         cfg = small_config(N_G=100)
         rng = np.random.default_rng(cfg.seed)
-        cache = FitnessCache()
+        cache = {}
         pop = evaluate(init_population(cfg, rng), cache)
         for _ in range(100):
             pop = step_generation(pop, cfg, cache, rng)
@@ -470,7 +470,7 @@ class TestStepGeneration:
     def test_elitism_makes_best_monotone(self):
         cfg = small_config(N_G=50)
         rng = np.random.default_rng(1)
-        cache = FitnessCache()
+        cache = {}
         pop = evaluate(init_population(cfg, rng), cache)
         best = float(pop.gammas.max())
         for _ in range(50):
@@ -485,8 +485,8 @@ class TestStepGeneration:
         cfg = small_config(p_muta=0.0, p_conv=1.0)
         rng = np.random.default_rng(2)
         code = random_code(cfg.N, rng)
-        pop = evaluate(Population(0, np.tile(code, (cfg.P, 1))), FitnessCache())
-        nxt = step_generation(pop, cfg, FitnessCache(), np.random.default_rng(3))
+        pop = evaluate(Population(0, np.tile(code, (cfg.P, 1))), {})
+        nxt = step_generation(pop, cfg, {}, np.random.default_rng(3))
         assert nxt.codes.shape == (cfg.P, cfg.N)
         assert all(np.array_equal(row, code) for row in nxt.codes)
 
@@ -508,7 +508,7 @@ class TestRun:
     def test_best_gamma_matches_recomputed_fitness(self):
         res = run(small_config(N_G=10))
         assert res.best_gamma == pytest.approx(
-            fitness(res.best_code).gamma, rel=1e-9
+            fitness(res.best_code), rel=1e-9
         )
 
     def test_history_covers_every_generation(self):
@@ -534,4 +534,35 @@ class TestRun:
         seed_code = tuple(random_code(12, rng).tolist())
         cfg = small_config(seed_codes=(seed_code,), N_G=1)
         res = run(cfg)
-        assert res.best_gamma >= fitness(as_code(seed_code)).gamma - 1e-12
+        assert res.best_gamma >= fitness(as_code(seed_code)) - 1e-12
+
+
+class TestRunCounts:
+    """``RunResult``'s counts: rows scored, and distinct codes across the run."""
+
+    def test_total_evaluations_is_rows_scored(self):
+        cfg = small_config(N_G=10)
+        full = run(cfg)
+        assert len(full.history) == cfg.N_G + 1
+        assert full.total_evaluations == cfg.P * len(full.history)
+        # Stop at the first gain over the initial best, before generation N_G.
+        k = next(st.k for st in full.history if st.best_gamma > full.history[0].best_gamma)
+        assert 0 < k < cfg.N_G
+        stopped = run(cfg, stop_gamma=full.history[k].best_gamma)
+        assert len(stopped.history) == k + 1
+        assert stopped.total_evaluations == cfg.P * (k + 1)
+
+    def test_visited_states_are_distinct_codes_of_all_generations(self):
+        cfg = small_config(N_G=10)
+        res = run(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        cache = {}
+        pop = evaluate(init_population(cfg, rng), cache)
+        seen = {row.tobytes() for row in pop.codes}
+        visited = [len(seen)]
+        for _ in range(cfg.N_G):
+            pop = step_generation(pop, cfg, cache, rng)
+            seen |= {row.tobytes() for row in pop.codes}
+            visited.append(len(seen))
+        assert [st.visited_states for st in res.history] == visited
+        assert res.total_visited_states == len(seen) == len(cache)
