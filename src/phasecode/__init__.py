@@ -8,11 +8,9 @@ from .codes import (
     PhaseCode,
     as_code,
     autocorrelation,
-    cross_correlation,
     format_code,
     legendre_code,
     parse_code,
-    random_code,
     shifted,
 )
 from .fitness import (
@@ -28,6 +26,7 @@ from .ga import (
     GenerationStats,
     Population,
     RunResult,
+    ScoreCache,
     crossover,
     elite_select,
     evaluate,
@@ -37,10 +36,8 @@ from .ga import (
     prevent_early_convergence,
     run,
     step_generation,
-    survival_probability,
     tournament_indices,
     tournament_select,
-    tournament_win_probability,
 )
 from .echo import empirical_sir
 from .baselines import KnownCode, brute_force_best, known_code, known_codes, random_search

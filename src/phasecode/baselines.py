@@ -16,7 +16,7 @@ import numpy as np
 
 from .codes import PhaseCode, format_code, parse_code, random_codes
 from .fitness import fitness, fitness_batch
-from .ga import GenerationStats, RunResult, score_codes
+from .ga import GenerationStats, RunResult, ScoreCache, score_codes
 
 # Hard cap for exhaustive enumeration.
 _BRUTE_FORCE_MAX_N = 20
@@ -146,7 +146,7 @@ def random_search(N: int, budget: int, rng: np.random.Generator) -> RunResult:
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    cache: dict[bytes, float] = {}
+    cache = ScoreCache()
     t0 = time.perf_counter()
     marks = _checkpoints(budget)
     history: list[GenerationStats] = []

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import baselines, echo, ga
-from .codes import cross_correlation, format_code, parse_code
+from .codes import format_code, parse_code, shifted
 from .fitness import fitness, matched_filter_scr, optimal_filter, scr
 from .ga import GaConfig, GenerationStats, RunResult
 
@@ -147,8 +149,37 @@ def _read_code_arg(args):
     raise ValueError("provide a code string, a registry name, or --file")
 
 
+@contextmanager
+def _atomic_open(path: Path):
+    """Text file handle on a temp file beside ``path``, moved over ``path`` once written.
+
+    A writer that raises leaves ``path`` as it was and deletes the temp file.
+    A process killed partway leaves ``path`` whole, old or new, and may leave
+    the temp file.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far in MiB, NaN without ``getrusage``."""
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return float("nan")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _write_run_log(path: Path, run_id: str, seed: int, history: list[GenerationStats]):
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(RUN_LOG_HEADER)
         for st in history:
@@ -167,7 +198,7 @@ def _write_run_log(path: Path, run_id: str, seed: int, history: list[GenerationS
 
 
 def _write_plot_data(path: Path, history: list[GenerationStats]):
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["generation", "visited_states", "best_gamma"])
         for st in history:
@@ -177,7 +208,8 @@ def _write_plot_data(path: Path, history: list[GenerationStats]):
 def _write_result(path: Path, meta: dict, code) -> None:
     lines = [f"{key} = {value}" for key, value in meta.items()]
     lines.append(f"code = {format_code(code)}")
-    path.write_text("\n".join(lines) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _run_and_write(
@@ -205,6 +237,8 @@ def _run_and_write(
         **echo,
         "seed_codes": len(config.seed_codes),
         "elapsed_seconds_total": f"{result.history[-1].elapsed_seconds:.6f}",
+        "cache_hit_rate": f"{1 - result.total_visited_states / result.total_evaluations:.6f}",
+        "peak_rss_mb": f"{_peak_rss_mb():.1f}",
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -260,7 +294,7 @@ def cmd_eval(args) -> int:
         print(f"  {vals}")
     print("squared lag responses (x . shifted(s, i))^2:")
     for lag in echo.lag_values(n):
-        val = cross_correlation(x, code, int(lag)) ** 2
+        val = (x @ shifted(code, int(lag))) ** 2
         print(f"  lag {int(lag):+d}: {val:.6e}")
     return 0
 
@@ -281,7 +315,7 @@ def cmd_sweep(args) -> int:
         result = _run_and_write(config, run_id, out, args.stop_gamma,
                                 _progress(run_id) if args.verbose else None)
         rows.append((n, _fmt(result.best_gamma), result.total_visited_states))
-    with open(out / "sweep.csv", "w", newline="") as fh:
+    with _atomic_open(out / "sweep.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", "best_gamma", "visited_states"])
         writer.writerows(rows)

@@ -44,46 +44,45 @@ def as_code(values) -> PhaseCode:
 
 
 def _key_words(codes: np.ndarray) -> np.ndarray:
-    """(B, W) uint64 key words of a (B, N) code matrix, W = N // 64 + 1.
+    """(B, W) big-endian uint64 key words of a (B, N) code matrix, W = N // 64 + 1.
 
-    Each row packs the N sign bits, then a 1 stop bit, then zero padding.
-    Each word's value reads its 64 bits big-endian (symbol 0 is the top bit
-    of word 0), so comparing rows word by word orders them as bit strings.
-    The words are stored in machine byte order, so a key's bytes differ
-    between platforms; they only ever key one process's score cache. The
-    stop bit keeps a code from colliding with the same code extended by -1
-    symbols: the key is one-to-one across code lengths.
+    Each row is the ``np.packbits`` of its N sign bits (+1 as 1), then a 1
+    stop bit, then zero padding to 64 W bits. The words are big-endian, so
+    their bytes are the packed bytes: symbol 0 is the top bit of byte 0, the
+    bytes are the same on every platform, and byte order, word order and
+    bit-string order all agree. The stop bit keeps a code from colliding
+    with the same code extended by -1 symbols: the key is one-to-one across
+    code lengths.
     """
     b, n = codes.shape
     bits = np.zeros((b, 64 * (n // 64 + 1)), dtype=bool)
     bits[:, :n] = codes > 0
     bits[:, n] = True
-    return np.packbits(bits, axis=1).view(">u8").astype(np.uint64)
+    return np.packbits(bits, axis=1).view(">u8")
 
 
 def unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a (B, N) code matrix, numbered in order of first occurrence.
+    """Distinct rows of a (B, N) code matrix, in ascending key order.
 
-    Returns ``keys`` (each distinct row's 8 W ``_key_words`` bytes as a void
-    array, whose ``tolist`` gives the bytes), ``first`` (ascending index of
-    each distinct row's first occurrence) and ``inverse`` (the distinct-row
-    number of every row), so ``codes[first][inverse]`` equals ``codes``.
+    Returns ``keys`` (each distinct row's 8 W ``_key_words`` bytes as one
+    void, ascending and distinct; ``tolist`` gives the bytes), ``first``
+    (the index of each distinct row's first occurrence) and ``inverse`` (the
+    distinct-row number of every row), so ``codes[first][inverse]`` equals
+    ``codes``.
 
     One stable lexicographic sort of the key words groups equal rows with the
-    first occurrence leading each group.
+    first occurrence leading each group, and orders the groups as bit
+    strings, which is the byte order numpy uses to sort and search voids.
     """
     words = _key_words(codes)
-    order = np.lexsort(words.T[::-1])
-    ranked = words[order]
+    native = words.astype(np.uint64)
+    order = np.lexsort(native.T[::-1])
+    ranked = native[order]
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    group_first = order[starts]
-    by_first = np.argsort(group_first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
     inverse = np.empty_like(order)
-    inverse[order] = rank[np.cumsum(starts) - 1]
-    first = group_first[by_first]
+    inverse[order] = np.cumsum(starts) - 1
+    first = order[starts]
     return words[first].view(f"V{words.shape[1] * 8}")[:, 0], first, inverse
 
 
@@ -103,14 +102,6 @@ def shifted(s: PhaseCode, i: int) -> np.ndarray:
     return out
 
 
-def cross_correlation(x: np.ndarray, s: PhaseCode, i: int) -> float:
-    """Inner product of ``x`` with ``shifted(s, i)`` (aperiodic correlation at lag i)."""
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) != len(s):
-        raise ValueError(f"length mismatch: filter {len(x)} vs code {len(s)}")
-    return float(x @ shifted(s, i))
-
-
 def autocorrelation(s: PhaseCode) -> np.ndarray:
     """Aperiodic autocorrelation r(d) = sum_t s[t]*s[t+d] for d = 0..N-1."""
     s = np.asarray(s, dtype=np.float64)
@@ -120,13 +111,6 @@ def autocorrelation(s: PhaseCode) -> np.ndarray:
     for d in range(1, n):
         r[d] = s[: n - d] @ s[d:]
     return r
-
-
-def random_code(N: int, rng: np.random.Generator) -> PhaseCode:
-    """One code with symbols drawn independently and uniformly from {+1, -1}."""
-    if N < 2:
-        raise ValueError(f"code length must be >= 2, got {N}")
-    return (2 * rng.integers(0, 2, size=N, dtype=np.int8) - 1).astype(CODE_DTYPE)
 
 
 def random_codes(count: int, N: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,26 +119,53 @@ def init_population(config: GaConfig, rng: np.random.Generator) -> Population:
     return Population(generation=0, codes=codes)
 
 
-def score_codes(codes: np.ndarray, cache: dict[bytes, float]) -> tuple[np.ndarray, int]:
+@dataclass
+class ScoreCache:
+    """Every distinct code scored so far, as two parallel arrays.
+
+    ``keys`` holds the ``codes.unique_rows`` keys in ascending order, all of
+    one width (codes whose lengths share N // 64), and ``gammas`` the
+    matching gammas, NaN where undefined. So ``len(cache)`` is the number
+    of distinct codes ever scored: the "visited states" (a code and its
+    negation are two).
+    """
+
+    keys: np.ndarray = field(default_factory=lambda: np.empty(0, "V8"))
+    gammas: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def __len__(self) -> int:
+        return self.keys.size
+
+
+def score_codes(codes: np.ndarray, cache: ScoreCache) -> tuple[np.ndarray, int]:
     """Gammas of a (B, N) code matrix, -inf where undefined, and its distinct-row count.
 
-    ``cache`` maps a code's ``codes.unique_rows`` key to its gamma, NaN when
-    undefined, so ``len(cache)`` counts the distinct codes ever scored: the
-    "visited states" (a code and its negation are two). The codes it lacks
-    are scored in one ``fitness_batch`` call, in order of first occurrence.
+    ``unique_rows`` gives the distinct keys in ascending order, so one
+    ``searchsorted`` into ``cache.keys`` finds each key's position: a hit
+    where the key stored there is equal (a cached NaN is a hit), a miss
+    otherwise. The misses are scored in one ``fitness_batch`` call, in key
+    order, and inserted at those same positions, which keeps the cache
+    sorted.
     """
     keys, first, inverse = unique_rows(codes)
-    keys = keys.tolist()
-    # -1 marks a missing code: a defined gamma is positive, an undefined one NaN.
-    gammas = np.fromiter(map(cache.get, keys, repeat(-1.0)), np.float64, len(keys))
-    new = np.flatnonzero(gammas < 0)
-    if new.size:
-        gammas[new] = fitness_batch(codes[first[new]])
-        cache.update(zip([keys[i] for i in new], gammas[new].tolist()))
-    return np.where(np.isnan(gammas), -np.inf, gammas)[inverse], len(keys)
+    if not len(cache):
+        cache.keys = keys[:0]  # an empty cache takes its key width from its first codes
+    if cache.keys.dtype != keys.dtype:
+        raise ValueError(f"score cache holds {cache.keys.dtype} keys, got {keys.dtype}")
+    pos = np.searchsorted(cache.keys, keys)
+    hit = pos < len(cache)
+    hit[hit] = cache.keys[pos[hit]] == keys[hit]
+    gammas = np.empty(keys.size)
+    gammas[hit] = cache.gammas[pos[hit]]
+    miss = np.flatnonzero(~hit)
+    if miss.size:
+        gammas[miss] = fitness_batch(codes[first[miss]])
+        cache.keys = np.insert(cache.keys, pos[miss], keys[miss])
+        cache.gammas = np.insert(cache.gammas, pos[miss], gammas[miss])
+    return np.where(np.isnan(gammas), -np.inf, gammas)[inverse], keys.size
 
 
-def evaluate(pop: Population, cache: dict[bytes, float]) -> Population:
+def evaluate(pop: Population, cache: ScoreCache) -> Population:
     """Fill every score through the cache (``score_codes``) and count the distinct codes."""
     pop.gammas, pop.distinct_members = score_codes(pop.codes, cache)
     return pop
@@ -207,30 +233,6 @@ def tournament_select(
     return pop.codes[tournament_indices(pop, M, count, rng)]
 
 
-def tournament_win_probability(P: int, M: int, i: int) -> float:
-    """Probability that the rank-i member (1 = best) wins one M-way tournament.
-
-    Equals C(P-i, M-1) / C(P, M): the member is drawn and every other drawee
-    ranks strictly worse. Zero when fewer than M-1 worse members exist.
-    Exact integer combinatorics, so no overflow for any practical P.
-    """
-    if not 1 <= i <= P:
-        raise ValueError(f"rank {i} out of range for P={P}")
-    if not 1 <= M <= P:
-        raise ValueError(f"tournament size {M} out of range for P={P}")
-    if i > P - M + 1:
-        return 0.0
-    return math.comb(P - i, M - 1) / math.comb(P, M)
-
-
-def survival_probability(P: int, M: int, i: int, E: int) -> float:
-    """Probability the rank-i member wins at least one of the P-E tournaments."""
-    if not 0 < E < P:
-        raise ValueError(f"need 0 < E < P, got E={E}, P={P}")
-    p = tournament_win_probability(P, M, i)
-    return 1.0 - (1.0 - p) ** (P - E)
-
-
 def prevent_early_convergence(
     codes: np.ndarray | Sequence[PhaseCode], p_conv: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -288,7 +290,7 @@ def mutate(children: np.ndarray, p_muta: float, rng: np.random.Generator) -> np.
 def step_generation(
     pop: Population,
     config: GaConfig,
-    cache: dict[bytes, float],
+    cache: ScoreCache,
     rng: np.random.Generator,
 ) -> Population:
     """One full generation step; returns the evaluated generation k+1.
@@ -340,7 +342,7 @@ def run(
     if stop_gamma is not None and not math.isfinite(stop_gamma):
         raise ValueError(f"stop_gamma must be finite, got {stop_gamma}")
     rng = np.random.default_rng(config.seed)
-    cache: dict[bytes, float] = {}
+    cache = ScoreCache()
     t0 = time.perf_counter()
 
     pop = evaluate(init_population(config, rng), cache)

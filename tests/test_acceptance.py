@@ -13,7 +13,7 @@ import pytest
 
 from phasecode.baselines import brute_force_best, known_code, known_codes, random_search
 from phasecode.cli import RUN_LOG_HEADER, main
-from phasecode.codes import as_code, random_code
+from phasecode.codes import as_code
 from phasecode.echo import empirical_sir
 from phasecode.fitness import (
     build_clutter_matrix,
@@ -31,8 +31,8 @@ from phasecode.ga import (
     run,
     tournament_indices,
     tournament_select,
-    tournament_win_probability,
 )
+from reference import random_code, tournament_win_probability
 
 N12_OPTIMAL_GAMMA = 14.317091616882326
 

@@ -10,8 +10,8 @@ from phasecode.baselines import (
     known_codes,
     random_search,
 )
-from phasecode.codes import random_code
 from phasecode.fitness import fitness, fitness_batch
+from reference import random_code
 
 # Frozen at first computation: exact optimum for N=12 (enumeration of one
 # code per symmetry orbit, 528 of the 4096 codes). The exact gamma is

@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 import phasecode
+from phasecode import cli
 from phasecode.cli import RUN_LOG_HEADER, _build_ga_config, build_parser, derive_sweep_seed, main
 from phasecode.codes import parse_code
-from phasecode.fitness import fitness
+from phasecode.baselines import known_code
+from phasecode.fitness import fitness, optimal_filter
 from phasecode.ga import GaConfig
+from reference import cross_correlation
 
 SMALL = ["--N", "16", "--N_G", "6", "--P", "120", "--E", "24", "--M", "5"]
 
@@ -68,6 +71,35 @@ class TestSearchCommand:
         assert abs(stored - recomputed) / recomputed <= 1e-6
         assert int(meta["N"]) == 16
         assert int(meta["seed"]) == 4
+
+    def test_result_reports_cache_hit_rate_and_peak_rss(self, tmp_path):
+        main(["search", *SMALL, "--seed", "4", "--out", str(tmp_path)])
+        meta = dict(line.split(" = ", 1) for line in
+                    (tmp_path / "search_N16_seed4.result.txt").read_text().splitlines())
+        visited, total = int(meta["visited_states"]), int(meta["total_evaluations"])
+        assert total == 120 * 7 and 0 < visited < total
+        assert float(meta["cache_hit_rate"]) == pytest.approx(1 - visited / total, abs=1e-6)
+        # ru_maxrss is in KiB on Linux: a reading in bytes would be 1024x too large.
+        assert 1.0 < float(meta["peak_rss_mb"]) < 4096.0
+
+    def test_failed_rewrite_keeps_old_artifacts(self, tmp_path, monkeypatch):
+        args = ["search", *SMALL, "--seed", "3", "--out", str(tmp_path)]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        calls = 0
+
+        def failing_fmt(value):
+            nonlocal calls
+            calls += 1
+            if calls > 4:  # the third row of log.csv
+                raise OSError("disk full")
+            return f"{value:.17g}"
+
+        monkeypatch.setattr(cli, "_fmt", failing_fmt)
+        assert main(args) == 2
+        assert calls == 5
+        # The old files are intact and no temp file is left beside them.
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_log_monotone_and_visited_monotone(self, tmp_path):
         main(["search", *SMALL, "--seed", "5", "--out", str(tmp_path)])
@@ -183,6 +215,17 @@ class TestEvalCommand:
                         if l.startswith("gamma (matched")).split("=")[1])
         assert mmf == pytest.approx(2.69, abs=0.01)
         assert mf <= mmf
+
+    def test_lag_responses_match_cross_correlation(self, capsys):
+        assert main(["eval", "legendre"]) == 0
+        lines = [l.split() for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("  lag ")]
+        s = known_code("legendre").code
+        x = optimal_filter(s)
+        assert [int(l[1].rstrip(":")) for l in lines] == [i for i in range(-58, 59) if i]
+        for _, lag, value in lines:
+            want = cross_correlation(x, s, int(lag.rstrip(":"))) ** 2
+            assert float(value) == pytest.approx(want, rel=1e-6)
 
     def test_reads_code_from_file(self, tmp_path, capsys):
         path = tmp_path / "code.txt"

@@ -1,7 +1,5 @@
 """Shift/correlation primitives, code generators, and the text format."""
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,15 +10,14 @@ from phasecode.codes import (
     ParseError,
     as_code,
     autocorrelation,
-    cross_correlation,
     format_code,
     legendre_code,
     parse_code,
-    random_code,
     random_codes,
     shifted,
     unique_rows,
 )
+from reference import cross_correlation, packed_key, random_code
 
 
 def bipolar(*vals):
@@ -65,8 +62,11 @@ class TestCrossCorrelation:
     def test_two_overlapping_terms(self):
         assert cross_correlation([1, 1, 1], bipolar(1, 1, 1), 1) == 2
 
+    def test_positive_lag_reads_later_symbols(self):
+        assert cross_correlation([1, 0, 0], bipolar(1, 1, -1), 2) == -1
+
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length mismatch"):
             cross_correlation([1.0, 2.0], bipolar(1, 1, 1), 0)
 
     def test_adjoint_identity_exhaustive_small_n(self):
@@ -204,16 +204,6 @@ class TestAsCode:
             as_code([[1, -1], [1, 1]])
 
 
-def packed_key(code):
-    """Reference key: the sign bits, a 1 stop bit and zero padding, read as
-    big-endian 64-bit words, each stored as a native uint64."""
-    n = len(code)
-    bits = "".join("1" if v > 0 else "0" for v in code) + "1"
-    bits += "0" * (64 * (n // 64 + 1) - len(bits))
-    words = (int(bits[i : i + 64], 2) for i in range(0, len(bits), 64))
-    return b"".join(w.to_bytes(8, sys.byteorder) for w in words)
-
-
 def row_key(code):
     """The key ``unique_rows`` gives a single code."""
     return unique_rows(np.asarray(code)[None])[0].tolist()[0]
@@ -239,18 +229,16 @@ class TestUniqueRows:
     @settings(max_examples=200, deadline=None)
     @given(_code_blocks())
     def test_matches_dict_of_bytes_reference(self, codes):
-        order: dict[bytes, int] = {}
-        ref_first, ref_inverse = [], []
+        first_seen: dict[bytes, int] = {}
         for idx, row in enumerate(codes):
-            k = row.tobytes()
-            if k not in order:
-                order[k] = len(order)
-                ref_first.append(idx)
-            ref_inverse.append(order[k])
+            first_seen.setdefault(packed_key(row), idx)
+        ref_keys = sorted(first_seen)
+        rank = {k: r for r, k in enumerate(ref_keys)}
         keys, first, inverse = unique_rows(codes)
-        assert first.tolist() == ref_first
-        assert inverse.tolist() == ref_inverse
-        assert keys.tolist() == [packed_key(codes[i]) for i in ref_first]
+        assert keys.tolist() == ref_keys
+        assert np.array_equal(np.sort(keys), keys)
+        assert first.tolist() == [first_seen[k] for k in ref_keys]
+        assert inverse.tolist() == [rank[packed_key(row)] for row in codes]
         assert np.array_equal(codes[first][inverse], codes)
 
     def test_key_is_one_to_one_across_lengths(self):

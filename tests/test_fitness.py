@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phasecode import ga
-from phasecode.codes import as_code, random_code, shifted
+from phasecode.codes import as_code, shifted
 from phasecode.fitness import (
     build_clutter_matrix,
     fitness,
@@ -25,7 +25,8 @@ from phasecode.fitness import (
     scr,
     _spd_solve,
 )
-from phasecode.ga import score_codes
+from phasecode.ga import ScoreCache, score_codes
+from reference import random_code
 
 GAMMA_TOL = 0.01  # published SCR values carry two decimals
 
@@ -324,10 +325,10 @@ class TestFitnessBatch:
 
 
 class TestFitnessCache:
-    """The score cache is a dict from ``unique_rows`` key to gamma."""
+    """The score cache maps each ``unique_rows`` key to its gamma."""
 
     def test_repeat_lookup_is_a_hit(self, monkeypatch):
-        cache = {}
+        cache = ScoreCache()
         rng = np.random.default_rng(0)
         s = random_code(12, rng)[None, :]
         first, _ = score_codes(s, cache)
@@ -339,7 +340,7 @@ class TestFitnessCache:
         assert first.tobytes() == second.tobytes()
 
     def test_counts_all_distinct_codes(self):
-        cache = {}
+        cache = ScoreCache()
         n = 12
         bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
         codes = (2 * bits - 1).astype(np.int8)
@@ -349,9 +350,21 @@ class TestFitnessCache:
         assert len(cache) == 4096
 
     def test_exact_keys_by_default(self):
-        cache = {}
+        cache = ScoreCache()
         rng = np.random.default_rng(1)
         s = random_code(16, rng)[None, :]
         score_codes(s, cache)
         score_codes(-s, cache)
+        assert len(cache) == 2
+
+    def test_lengths_share_a_cache_only_within_one_key_width(self):
+        rng = np.random.default_rng(2)
+        cache = ScoreCache()
+        s = random_code(20, rng)
+        longer = np.append(s, -1).astype(np.int8)
+        score_codes(s[None, :], cache)
+        score_codes(longer[None, :], cache)
+        assert len(cache) == 2
+        with pytest.raises(ValueError, match="score cache holds"):
+            score_codes(random_code(64, rng)[None, :], cache)
         assert len(cache) == 2

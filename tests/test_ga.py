@@ -1,16 +1,21 @@
 """Genetic-engine operators, selection probabilities, and pipeline properties."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phasecode import ga
-from phasecode.codes import as_code, random_code, unique_rows
+from phasecode.codes import as_code, unique_rows
 from phasecode.fitness import fitness, fitness_batch
 from phasecode.ga import (
     GaConfig,
     Population,
+    ScoreCache,
     crossover,
     elite_select,
     evaluate,
@@ -21,11 +26,10 @@ from phasecode.ga import (
     run,
     score_codes,
     step_generation,
-    survival_probability,
     tournament_indices,
     tournament_select,
-    tournament_win_probability,
 )
+from reference import packed_key, random_code, survival_probability, tournament_win_probability
 
 
 def small_config(**overrides):
@@ -36,7 +40,7 @@ def small_config(**overrides):
 
 def evaluated_population(codes):
     pop = Population(generation=0, codes=np.asarray(codes, dtype=np.int8))
-    return evaluate(pop, {})
+    return evaluate(pop, ScoreCache())
 
 
 class TestGaConfig:
@@ -96,7 +100,7 @@ class TestEvaluate:
         rng = np.random.default_rng(1)
         code = random_code(12, rng)
         pop = Population(0, np.tile(code, (30, 1)))
-        cache = {}
+        cache = ScoreCache()
         evaluate(pop, cache)
         assert len(cache) == 1 and pop.distinct_members == 1
         assert np.allclose(pop.gammas, pop.gammas[0])
@@ -107,16 +111,17 @@ class TestEvaluate:
         s_ga = known_code("ga").code
         rng = np.random.default_rng(2)
         codes = np.vstack([s_ga, *(random_code(59, rng) for _ in range(9))])
-        pop = evaluate(Population(0, codes), {})
+        pop = evaluate(Population(0, codes), ScoreCache())
         assert pop.gammas[0] == pytest.approx(50.84, abs=0.01)
 
     def test_reevaluation_adds_no_misses(self):
         cfg = small_config()
-        cache = {}
+        cache = ScoreCache()
         pop = evaluate(init_population(cfg, np.random.default_rng(0)), cache)
-        before = dict(cache)
+        keys, gammas = cache.keys.tolist(), cache.gammas.copy()
         evaluate(pop, cache)
-        assert cache == before
+        assert cache.keys.tolist() == keys
+        assert np.array_equal(cache.gammas, gammas, equal_nan=True)
 
 
 class TestEliteSelect:
@@ -390,11 +395,69 @@ class TestPreventEarlyConvergence:
         assert rng.random() == ref_rng.random()
 
 
+@st.composite
+def _block_sequences(draw):
+    """One to four (B, N) code blocks, B up to 30, drawn from a pool of at most 8 rows.
+
+    The pool's rows are one base code with up to three symbols flipped, so
+    they share long prefixes. N runs to 200 and includes 63, 64, 127 and
+    128, where keys grow from one 64-bit word to two and from two to three.
+    """
+    n = draw(st.one_of(st.sampled_from([63, 64, 127, 128]), st.integers(2, 200)))
+    base = draw(arrays(np.int8, n, elements=st.sampled_from([-1, 1])))
+    pool = []
+    for flips in draw(st.lists(st.lists(st.integers(0, n - 1), max_size=3),
+                               min_size=1, max_size=8)):
+        row = base.copy()
+        row[flips] *= -1
+        pool.append(row)
+    pool = np.stack(pool)
+    picks = st.lists(st.integers(0, len(pool) - 1), max_size=30)
+    return [pool[draw(picks)].reshape(-1, n) for _ in range(draw(st.integers(1, 4)))]
+
+
 class TestScoreCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(_block_sequences())
+    def test_matches_dict_of_bytes_reference(self, blocks):
+        # Each scored code gets the next number as its gamma, and every third
+        # one (the first included) is undefined, so cached NaN codes recur.
+        scored: dict[bytes, float] = {}
+        batches: list[list[bytes]] = []
+
+        def numbering_batch(codes):
+            batches.append([packed_key(row) for row in codes])
+            out = np.arange(len(scored), len(scored) + len(codes), dtype=float)
+            out[out % 3 == 0] = np.nan
+            for row, g in zip(codes, out.tolist()):
+                assert row.tobytes() not in scored, "a cached code was scored again"
+                scored[row.tobytes()] = g
+            return out
+
+        cache = ScoreCache()
+        with mock.patch.object(ga, "fitness_batch", numbering_batch):
+            for block in blocks:
+                rows = {row.tobytes() for row in block}
+                new = rows - scored.keys()
+                calls = len(batches)
+                gammas, count = score_codes(block, cache)
+                want = [scored[row.tobytes()] for row in block]
+                assert gammas.tolist() == [-math.inf if math.isnan(g) else g for g in want]
+                assert count == len(rows)
+                # The misses go in one batch, in ascending key order.
+                assert len(batches) - calls == (1 if new else 0)
+                if new:
+                    assert len(batches[-1]) == len(new)
+                    assert batches[-1] == sorted(batches[-1])
+                assert len(cache) == len(scored)
+                keys = cache.keys.tolist()
+                assert keys == sorted(set(keys))
+                assert len(cache.gammas) == len(keys)
+
     def test_matches_per_row_cached_fitness(self):
         rng = np.random.default_rng(26)
         distinct = np.stack([random_code(12, rng) for _ in range(30)])
-        cache = {}
+        cache = ScoreCache()
         seen = set()
         for _ in range(3):
             block = distinct[rng.integers(0, 30, size=50)]
@@ -415,7 +478,7 @@ class TestScoreCodes:
         distinct = np.stack([random_code(12, rng) for _ in range(6)])
         block = distinct[rng.integers(0, 6, size=40)]
         undefined = block[0]
-        cache = {unique_rows(undefined[None])[0].tolist()[0]: float("nan")}
+        cache = ScoreCache(unique_rows(undefined[None])[0], np.array([np.nan]))
         scored = []
 
         def recording_batch(codes):
@@ -460,7 +523,7 @@ class TestStepGeneration:
     def test_population_size_invariant_over_many_steps(self):
         cfg = small_config(N_G=100)
         rng = np.random.default_rng(cfg.seed)
-        cache = {}
+        cache = ScoreCache()
         pop = evaluate(init_population(cfg, rng), cache)
         for _ in range(100):
             pop = step_generation(pop, cfg, cache, rng)
@@ -470,7 +533,7 @@ class TestStepGeneration:
     def test_elitism_makes_best_monotone(self):
         cfg = small_config(N_G=50)
         rng = np.random.default_rng(1)
-        cache = {}
+        cache = ScoreCache()
         pop = evaluate(init_population(cfg, rng), cache)
         best = float(pop.gammas.max())
         for _ in range(50):
@@ -485,8 +548,8 @@ class TestStepGeneration:
         cfg = small_config(p_muta=0.0, p_conv=1.0)
         rng = np.random.default_rng(2)
         code = random_code(cfg.N, rng)
-        pop = evaluate(Population(0, np.tile(code, (cfg.P, 1))), {})
-        nxt = step_generation(pop, cfg, {}, np.random.default_rng(3))
+        pop = evaluate(Population(0, np.tile(code, (cfg.P, 1))), ScoreCache())
+        nxt = step_generation(pop, cfg, ScoreCache(), np.random.default_rng(3))
         assert nxt.codes.shape == (cfg.P, cfg.N)
         assert all(np.array_equal(row, code) for row in nxt.codes)
 
@@ -556,7 +619,7 @@ class TestRunCounts:
         cfg = small_config(N_G=10)
         res = run(cfg)
         rng = np.random.default_rng(cfg.seed)
-        cache = {}
+        cache = ScoreCache()
         pop = evaluate(init_population(cfg, rng), cache)
         seen = {row.tobytes() for row in pop.codes}
         visited = [len(seen)]
