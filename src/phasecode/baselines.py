@@ -233,8 +233,10 @@ def brute_force_best(N: int) -> tuple[PhaseCode, float]:
     """
     if not 2 <= N <= _BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force supports 2 <= N <= {_BRUTE_FORCE_MAX_N}, got {N}")
-    # Every orbit holds a code with symbol 0 = -1, the top bit clear.
-    total = 1 << (N - 1)
+    # Negation can set symbol 0 to -1 and then alternation, which keeps symbol
+    # 0, can set symbol 1 to -1: every orbit minimum has its top two bits
+    # clear, so only the indices below 2^(N-2) are enumerated.
+    total = 1 << (N - 2)
     chunk = 8192
     bit_shifts = np.arange(N - 1, -1, -1)
     best_gamma = float("-inf")

@@ -366,6 +366,9 @@ def cmd_bruteforce(args) -> int:
             "N": args.N,
             "gamma": _fmt(gamma),
             "elapsed_seconds_total": f"{time.perf_counter() - t0:.6f}",
+            "peak_rss_mb": f"{_peak_rss_mb():.1f}",
+            "python": platform.python_version(),
+            "numpy": np.__version__,
         },
         code,
     )

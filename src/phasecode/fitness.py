@@ -36,9 +36,12 @@ import numpy as np
 
 from .codes import PhaseCode, autocorrelation, shifted
 
-# Codes are evaluated in fixed-size chunks, which bound the working set of
-# the lag-major arrays; a code's gamma does not depend on its chunk.
-_CHUNK = 1024
+# Codes are evaluated in chunks of about this many symbols (rows x N), which
+# bound the working set of the lag-major arrays. Each chunk pays a fixed cost
+# per Durbin step whatever its row count, so short codes get more rows per
+# chunk, and a batch is split evenly, leaving no short tail chunk. A code's
+# gamma does not depend on its chunk.
+_CHUNK_SYMBOLS = 1 << 16
 
 # Batch rows with 1 - q <= this (q = s^T T^{-1} s) go to the Cholesky
 # ``fitness``. 1 - q = 1 / (1 + gamma), so the subtraction loses about
@@ -177,7 +180,7 @@ def fitness_batch(codes: np.ndarray) -> np.ndarray:
     codes = np.atleast_2d(codes)
     if codes.shape[0] == 0:
         return np.empty(0)
-    return np.concatenate(
-        [_fitness_chunk(codes[lo : lo + _CHUNK]) for lo in range(0, codes.shape[0], _CHUNK)]
-    )
+    b, n = codes.shape
+    chunks = np.array_split(codes, -(-b * n // _CHUNK_SYMBOLS))
+    return np.concatenate([_fitness_chunk(chunk) for chunk in chunks])
 

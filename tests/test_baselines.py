@@ -154,6 +154,9 @@ class TestBruteForce:
             for k, code in enumerate(all_codes(n)):
                 least = min(baselines._symmetry_orbit(code).tolist())
                 assert keep[k] == (code.tolist() == least), (n, k)
+            # Every orbit minimum has symbols 0 and 1 at -1, so brute force
+            # enumerates only the indices below 2^(n-2).
+            assert not keep[1 << (n - 2) :].any(), n
 
     def test_scores_one_code_per_orbit(self, monkeypatch):
         for n in range(2, 15):

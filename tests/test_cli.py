@@ -2,6 +2,7 @@
 
 import csv
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import fields
@@ -338,6 +339,18 @@ class TestBruteforceCommand:
         assert "optimal gamma 2.000000" in text
         meta = (tmp_path / "bruteforce_N2.result.txt").read_text()
         assert "gamma = 2" in meta
+
+    def test_result_reports_peak_rss_and_versions(self, tmp_path):
+        assert main(["bruteforce", "8", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "bruteforce_N8.result.txt").read_text().splitlines()
+        keys = [line.split(" = ", 1)[0] for line in lines]
+        assert keys == ["mode", "N", "gamma", "elapsed_seconds_total",
+                        "peak_rss_mb", "python", "numpy", "code"]
+        meta = dict(line.split(" = ", 1) for line in lines)
+        # ru_maxrss is in KiB on Linux: a reading in bytes would be 1024x too large.
+        assert 1.0 < float(meta["peak_rss_mb"]) < 4096.0
+        assert meta["python"] == platform.python_version()
+        assert meta["numpy"] == np.__version__
 
     def test_overlarge_length_rejected(self, tmp_path):
         assert main(["bruteforce", "24", "--out", str(tmp_path)]) == 1

@@ -314,14 +314,34 @@ class TestFitnessBatch:
         for row, g in zip(codes, batch):
             assert g == pytest.approx(fitness(row), rel=1e-9)
 
-    def test_chunk_boundaries_do_not_change_bytes(self):
-        # 3000 rows span three 1024-row chunks, the last one partial.
+    @pytest.mark.parametrize("n", [4, 20, 59, 100])
+    def test_chunk_boundaries_do_not_change_bytes(self, n):
+        # 2.5 symbol budgets of rows span three chunks; the slices cut them
+        # at other rows, down to a one-row slice.
         rng = np.random.default_rng(106)
-        codes = np.stack([random_code(59, rng) for _ in range(3000)])
+        b = 5 * fitness_module._CHUNK_SYMBOLS // (2 * n)
+        codes = (2 * rng.integers(0, 2, size=(b, n)) - 1).astype(np.int8)
         whole = fitness_batch(codes)
-        bounds = ((0, 1024), (1024, 2048), (2048, 3000))
-        slices = [fitness_batch(codes[lo:hi]) for lo, hi in bounds]
+        cuts = [0, 1, b // 5, b // 2 + 3, b - 7, b]
+        slices = [fitness_batch(codes[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         assert whole.tobytes() == np.concatenate(slices).tobytes()
+
+    @pytest.mark.parametrize("n, b", [(4, 40000), (20, 3277), (20, 9000), (59, 3000), (100, 655)])
+    def test_batch_splits_evenly_by_symbol_budget(self, monkeypatch, n, b):
+        rng = np.random.default_rng(109)
+        codes = (2 * rng.integers(0, 2, size=(b, n)) - 1).astype(np.int8)
+        chunks = []
+
+        def recording_chunk(chunk):
+            chunks.append(chunk.copy())
+            return np.zeros(len(chunk))
+
+        monkeypatch.setattr(fitness_module, "_fitness_chunk", recording_chunk)
+        fitness_batch(codes)
+        assert len(chunks) == -(-b * n // 2**16)
+        rows = [len(c) for c in chunks]
+        assert max(rows) - min(rows) <= 1
+        assert np.array_equal(np.concatenate(chunks), codes)
 
 
 class TestFitnessCache:
