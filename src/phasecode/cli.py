@@ -42,14 +42,11 @@ RUN_LOG_HEADER = [
     "elapsed_seconds",
 ]
 
-# The GA hyperparameters the CLI exposes, each with the type of its default:
+# Every GaConfig field with the type of its default (int, float or str):
 # one --flag, one config-file key and one study variable per entry.
-_SCALAR_FIELDS = {
-    f.name: type(f.default) for f in fields(GaConfig) if type(f.default) in (int, float)
-}
+_SCALAR_FIELDS = {f.name: type(f.default) for f in fields(GaConfig)}
 # Study variable names kept from the paper's notation.
 _STUDY_ALIASES = {"tournament_M": "M", "elite_E": "E"}
-_SEEDING_VALUES = ("none", "seed_with_known_codes")
 _MAX_SWEEP_N = 256
 
 
@@ -77,7 +74,7 @@ def derive_sweep_seed(seed: int, N: int) -> int:
 
 
 def _parse_field(name: str, text: str):
-    """A scalar GaConfig field's value, parsed as the type of its default."""
+    """A GaConfig field's value, parsed as the type of its default."""
     kind = _SCALAR_FIELDS[name]
     try:
         return kind(text)
@@ -106,29 +103,21 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _build_ga_config(args, seed_codes=(), **overrides) -> GaConfig:
+def _build_ga_config(args, **overrides) -> GaConfig:
     """GaConfig from defaults, then --config, then flags, then ``overrides``."""
     values = _load_config_file(args.config) if args.config else {}
     for name in _SCALAR_FIELDS:
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
     values.update(overrides)
-    config = GaConfig(seed_codes=tuple(seed_codes), **values)
-    config.validate()
-    return config
-
-
-def _known_seed_codes() -> tuple:
-    """The published prior codes (the GA's own excluded) for the initial population."""
-    return tuple(k.code for k in baselines.known_codes() if k.name != "ga")
+    return GaConfig(**values)
 
 
 def _add_ga_flags(parser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     for f in fields(GaConfig):
-        if f.name in _SCALAR_FIELDS:
-            parser.add_argument(f"--{f.name}", type=_SCALAR_FIELDS[f.name],
-                                help=f.metadata["help"])
+        parser.add_argument(f"--{f.name}", type=_SCALAR_FIELDS[f.name],
+                            help=f.metadata["help"])
 
 
 def _add_common_flags(parser) -> None:
@@ -235,7 +224,6 @@ def _run_and_write(
         "total_evaluations": result.total_evaluations,
         "generations_run": result.history[-1].k,
         **echo,
-        "seed_codes": len(config.seed_codes),
         "elapsed_seconds_total": f"{result.history[-1].elapsed_seconds:.6f}",
         "cache_hit_rate": f"{1 - result.total_visited_states / result.total_evaluations:.6f}",
         "peak_rss_mb": f"{_peak_rss_mb():.1f}",
@@ -266,9 +254,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_search(args) -> int:
-    config = _build_ga_config(
-        args, seed_codes=_known_seed_codes() if args.seed_known else ()
-    )
+    config = _build_ga_config(args)
     out = _out_dir(args)
     run_id = args.run_id or f"search_N{config.N}_seed{config.seed}"
     _run_and_write(config, run_id, out, args.stop_gamma,
@@ -325,31 +311,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_study(args) -> int:
     name = _STUDY_ALIASES.get(args.variable, args.variable)
-    if name != "init_seeding" and name not in _SCALAR_FIELDS:
+    if name not in _SCALAR_FIELDS:
         raise ValueError(
-            f"unknown study variable {args.variable!r}; pick init_seeding, "
-            f"{', '.join(_STUDY_ALIASES)} or a scalar GaConfig field "
+            f"unknown study variable {args.variable!r}; pick "
+            f"{', '.join(_STUDY_ALIASES)} or a GaConfig field "
             f"({', '.join(_SCALAR_FIELDS)})"
         )
-    values = args.values
-    if name == "init_seeding" and not values:
-        values = list(_SEEDING_VALUES)
-    if not values:
+    if not args.values:
         raise ValueError("study needs at least one value (--values)")
-    # Every value's config is checked before the first run starts.
-    configs = []
-    for value in values:
-        if name != "init_seeding":
-            configs.append(_build_ga_config(args, **{name: _parse_field(name, value)}))
-        elif value in _SEEDING_VALUES:
-            seeds = _known_seed_codes() if value == "seed_with_known_codes" else ()
-            configs.append(_build_ga_config(args, seed_codes=seeds))
-        else:
-            raise ValueError(
-                f"init_seeding value must be one of {_SEEDING_VALUES}, got {value!r}"
-            )
+    # Every value's config is built, and so checked, before the first run starts.
+    configs = [_build_ga_config(args, **{name: _parse_field(name, value)})
+               for value in args.values]
     out = _out_dir(args)
-    for value, config in zip(values, configs):
+    for value, config in zip(args.values, configs):
         run_id = f"study_{args.variable}_{value}_seed{config.seed}"
         _run_and_write(config, run_id, out, args.stop_gamma)
     return 0
@@ -378,18 +352,17 @@ def cmd_bruteforce(args) -> int:
 
 def cmd_randomsearch(args) -> int:
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     result = baselines.random_search(args.N, args.budget, rng)
-    run_id = f"randomsearch_N{args.N}_seed{seed}"
-    _write_run_log(out / f"{run_id}.log.csv", run_id, seed, result.history)
+    run_id = f"randomsearch_N{args.N}_seed{args.seed}"
+    _write_run_log(out / f"{run_id}.log.csv", run_id, args.seed, result.history)
     _write_result(
         out / f"{run_id}.result.txt",
         {
             "run_id": run_id,
             "mode": "randomsearch",
             "N": args.N,
-            "seed": seed,
+            "seed": args.seed,
             "budget": args.budget,
             "gamma": _fmt(result.best_gamma),
             "visited_states": result.total_visited_states,
@@ -403,7 +376,6 @@ def cmd_randomsearch(args) -> int:
 
 def cmd_simulate(args) -> int:
     code = _read_code_arg(args)
-    seed = args.seed if args.seed is not None else 0
     if args.filter == "matched":
         x = np.asarray(code, dtype=float)
         analytic = matched_filter_scr(code)
@@ -412,7 +384,7 @@ def cmd_simulate(args) -> int:
         if x is None:
             raise RuntimeError("clutter matrix is singular; no optimal filter")
         analytic = fitness(code)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     estimate = echo.empirical_sir(
         code, x, args.trials, rng, distribution=args.distribution
     )
@@ -426,11 +398,11 @@ def cmd_simulate(args) -> int:
     if args.out:
         out = _out_dir(args)
         _write_result(
-            out / f"simulate_N{len(code)}_seed{seed}.result.txt",
+            out / f"simulate_N{len(code)}_seed{args.seed}.result.txt",
             {
                 "mode": "simulate",
                 "N": len(code),
-                "seed": seed,
+                "seed": args.seed,
                 "trials": args.trials,
                 "filter": args.filter,
                 "distribution": args.distribution,
@@ -449,8 +421,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="run the genetic search")
     _add_ga_flags(p)
     _add_common_flags(p)
-    p.add_argument("--seed-known", action="store_true",
-                   help="insert the published prior codes into the initial population")
     p.add_argument("--stop-gamma", type=float, default=None,
                    help="stop early once best gamma reaches this value")
     p.add_argument("--run-id", default=None)
@@ -475,8 +445,8 @@ def build_parser() -> _Parser:
     _add_ga_flags(p)
     _add_common_flags(p)
     p.add_argument("--variable", required=True,
-                   help="init_seeding, tournament_M (alias of M), elite_E "
-                        "(alias of E), or any scalar GaConfig field")
+                   help="tournament_M (alias of M), elite_E (alias of E), "
+                        "or any GaConfig field")
     p.add_argument("--values", nargs="*", default=[])
     p.add_argument("--stop-gamma", type=float, default=None)
     p.set_defaults(func=cmd_study)
@@ -490,7 +460,7 @@ def build_parser() -> _Parser:
     _add_common_flags(p)
     p.add_argument("N", type=int)
     p.add_argument("budget", type=int)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_randomsearch)
 
     p = sub.add_parser("simulate", help="Monte-Carlo check of the analytic SCR")
@@ -500,7 +470,7 @@ def build_parser() -> _Parser:
     p.add_argument("--filter", choices=["optimal", "matched"], default="optimal")
     p.add_argument("--distribution", choices=["gaussian", "uniform"],
                    default="gaussian")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional output directory")
     p.set_defaults(func=cmd_simulate)
 

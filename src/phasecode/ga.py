@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .codes import CODE_DTYPE, PhaseCode, as_code, random_codes, unique_rows
+from .codes import CODE_DTYPE, PhaseCode, random_codes, unique_rows
 from .fitness import fitness_batch
 
 
@@ -26,8 +26,9 @@ from .fitness import fitness_batch
 class GaConfig:
     """Search hyperparameters; field names follow the usual GA vocabulary.
 
-    Each scalar field's ``metadata["help"]`` says what it sets; the CLI
-    builds its flags and config-file keys from these fields.
+    Each field's ``metadata["help"]`` says what it sets; the CLI builds its
+    flags and config-file keys from these fields. A config is checked when
+    it is built, so a bad one raises ``ValueError`` and never exists.
 
     The reference hyperparameter table quotes the thinning strength as 0.7;
     that number is the drop rate (the probability that the prevention acts
@@ -45,9 +46,12 @@ class GaConfig:
     p_muta: float = field(default=0.3, metadata={"help": "mutation probability"})
     p_conv: float = field(default=0.3, metadata={"help": "duplicate keep probability"})
     seed: int = field(default=0, metadata={"help": "master seed"})
-    seed_codes: tuple = ()
+    init: str = field(
+        default="random",
+        metadata={"help": "random, or known (the published prior codes lead generation 0)"},
+    )
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
         if self.N_G < 1:
@@ -60,12 +64,29 @@ class GaConfig:
             raise ValueError(f"p_muta must be in [0, 1], got {self.p_muta}")
         if not 0.0 <= self.p_conv <= 1.0:
             raise ValueError(f"p_conv must be in [0, 1], got {self.p_conv}")
-        if len(self.seed_codes) > self.P:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.init not in ("random", "known"):
+            raise ValueError(f"init must be random or known, got {self.init!r}")
+        seeds = _init_codes(self)
+        if seeds.shape[1] != self.N:
+            raise ValueError(
+                f"init = {self.init} seeds length-{seeds.shape[1]} codes, "
+                f"so it needs N = {seeds.shape[1]}, got N = {self.N}"
+            )
+        if len(seeds) > self.P:
             raise ValueError("more seed codes than population slots")
-        for c in self.seed_codes:
-            code = as_code(c)
-            if len(code) != self.N:
-                raise ValueError(f"seed code length {len(code)} != N={self.N}")
+
+
+def _init_codes(config: GaConfig) -> np.ndarray:
+    """The (K, N) codes that lead generation 0: none for ``random``; for
+    ``known``, the published prior codes (the registry minus the GA's own
+    ``ga``) in registry order, read through the registry's self-check."""
+    if config.init == "known":
+        from .baselines import known_codes  # function-level: baselines imports ga
+
+        return np.stack([k.code for k in known_codes() if k.name != "ga"])
+    return np.empty((0, config.N), CODE_DTYPE)
 
 
 @dataclass
@@ -108,15 +129,10 @@ class RunResult:
 
 
 def init_population(config: GaConfig, rng: np.random.Generator) -> Population:
-    """Seed codes (if any) followed by uniform random codes up to size P."""
-    config.validate()
-    seeds = [as_code(c) for c in config.seed_codes]
+    """The ``init`` codes followed by uniform random codes up to size P."""
+    seeds = _init_codes(config)
     fill = random_codes(config.P - len(seeds), config.N, rng)
-    if seeds:
-        codes = np.concatenate([np.stack(seeds).astype(CODE_DTYPE), fill])
-    else:
-        codes = fill
-    return Population(generation=0, codes=codes)
+    return Population(generation=0, codes=np.concatenate([seeds, fill]))
 
 
 @dataclass
@@ -338,7 +354,6 @@ def run(
     finite: no score reaches NaN, and none reaches +inf. Deterministic
     for a fixed config: all stochastic operators share one seeded stream.
     """
-    config.validate()
     if stop_gamma is not None and not math.isfinite(stop_gamma):
         raise ValueError(f"stop_gamma must be finite, got {stop_gamma}")
     rng = np.random.default_rng(config.seed)

@@ -121,10 +121,11 @@ class TestSearchCommand:
         assert (a / f"{name}.plot.csv").read_bytes() == (b / f"{name}.plot.csv").read_bytes()
 
     def test_removed_threads_flag_is_config_error(self, tmp_path, capsys):
-        assert main(["search", *SMALL, "--out", str(tmp_path), "--threads", "2"]) == 1
-        err = capsys.readouterr().err
-        assert "unrecognized arguments: --threads 2" in err
-        assert "Traceback" not in err
+        for flags in (["--threads", "2"], ["--seed-known"]):
+            assert main(["search", *SMALL, "--out", str(tmp_path), *flags]) == 1
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flags)}" in err
+            assert "Traceback" not in err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "ga.conf"
@@ -139,20 +140,24 @@ class TestSearchCommand:
 
     def test_every_scalar_config_field_round_trips(self, tmp_path):
         # A valid non-default value for each int and float field of GaConfig.
-        want = {
+        bumped = {
             f.name: f.default + 1 if type(f.default) is int else f.default / 2
             for f in fields(GaConfig)
             if type(f.default) in (int, float)
         }
-        assert {"N", "N_G", "P", "E", "M", "p_muta", "p_conv", "seed"} <= set(want)
+        assert {"N", "N_G", "P", "E", "M", "p_muta", "p_conv", "seed"} <= set(bumped)
+        # The str field; init = known needs the registry's length, N = 59.
+        seeded = {"N": 59, "init": "known"}
+        assert set(bumped) | set(seeded) == {f.name for f in fields(GaConfig)}
         cfg = tmp_path / "ga.conf"
-        cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in want.items()))
-        flags = [arg for key, value in want.items() for arg in (f"--{key}", repr(value))]
-        for argv in (["--config", str(cfg)], flags):
-            config = _build_ga_config(build_parser().parse_args(["search", *argv]))
-            for key, value in want.items():
-                got = getattr(config, key)
-                assert (got, type(got)) == (value, type(value)), (argv[0], key)
+        for want in (bumped, seeded):
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in want.items()))
+            flags = [arg for key, value in want.items() for arg in (f"--{key}", str(value))]
+            for argv in (["--config", str(cfg)], flags):
+                config = _build_ga_config(build_parser().parse_args(["search", *argv]))
+                for key, value in want.items():
+                    got = getattr(config, key)
+                    assert (got, type(got)) == (value, type(value)), (argv[0], key)
 
     def test_bad_config_file_is_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "ga.conf"
@@ -161,9 +166,20 @@ class TestSearchCommand:
             assert main(["search", "--config", str(cfg), "--out", str(tmp_path)]) == 1
             assert capsys.readouterr().err.startswith(f"error: {cfg}:1: "), line
 
-    def test_seed_known_requires_matching_length(self, tmp_path):
+    def test_init_known_requires_matching_length(self, tmp_path, capsys):
         # registry codes are length 59; N=16 must be a config error
-        assert main(["search", *SMALL, "--seed-known", "--out", str(tmp_path)]) == 1
+        assert main(["search", *SMALL, "--init", "known", "--out", str(tmp_path)]) == 1
+        assert "N = 59" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_init_is_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "ga.conf"
+        cfg.write_text("init = bogus\n")
+        for argv in (["--init", "bogus"], ["--config", str(cfg)]):
+            assert main(["search", *SMALL, *argv, "--out", str(tmp_path / "runs")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: init must be random or known, got 'bogus'"), argv
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_stop_gamma_is_exit_one(self, tmp_path, capsys, bad):
@@ -300,17 +316,17 @@ class TestStudyCommand:
         names = sorted(p.name for p in out.glob("study_elite_E_*.plot.csv"))
         assert len(names) == 3
 
-    def test_init_seeding_study_uses_registry_codes(self, tmp_path):
+    def test_init_study_uses_registry_codes(self, tmp_path):
         out = tmp_path / "study"
         args = ["--N", "59", "--N_G", "2", "--P", "120", "--E", "24", "--seed", "3"]
-        assert main(["study", "--variable", "init_seeding", *args,
+        assert main(["study", "--variable", "init", "--values", "random", "known", *args,
                      "--out", str(out)]) == 0
-        seeded = read_csv(
-            out / "study_init_seeding_seed_with_known_codes_seed3.log.csv")
+        seeded = read_csv(out / "study_init_known_seed3.log.csv")
         # the seeded arm starts at least as high as the best inserted code
         assert float(seeded[1][3]) >= 45.0
-        unseeded = read_csv(out / "study_init_seeding_none_seed3.log.csv")
+        unseeded = read_csv(out / "study_init_random_seed3.log.csv")
         assert float(unseeded[1][3]) < 45.0
+        assert "init = known" in (out / "study_init_known_seed3.result.txt").read_text().splitlines()
 
     def test_any_scalar_field_study_writes_search_artifacts(self, tmp_path):
         out = tmp_path / "study"
@@ -325,6 +341,14 @@ class TestStudyCommand:
     def test_unknown_variable_rejected(self, tmp_path):
         assert main(["study", "--variable", "wing_area",
                      "--values", "1", "--out", str(tmp_path)]) == 1
+
+    def test_negative_seed_rejected_before_the_first_run(self, tmp_path, capsys):
+        out = tmp_path / "study"
+        assert main(["study", "--variable", "seed", "--values", "1", "-1",
+                     "--N", "12", "--N_G", "2", "--P", "60", "--E", "12",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -1")
+        assert not out.exists()
 
     def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys):
         assert main(["study", "--variable", "M", "--values", "2.5",

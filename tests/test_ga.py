@@ -62,26 +62,34 @@ class TestGaConfig:
             dict(M=61),
             dict(p_muta=1.5),
             dict(p_conv=-0.1),
+            dict(seed=-1),
+            dict(init="chirp"),
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ValueError):
-            small_config(**overrides).validate()
+            small_config(**overrides)
 
     def test_seed_code_length_checked(self):
-        cfg = small_config(seed_codes=(tuple([1, -1] * 5),))  # length 10 != 12
-        with pytest.raises(ValueError):
-            cfg.validate()
+        # The registry codes are length 59; N=12 cannot hold them.
+        with pytest.raises(ValueError, match="N = 59"):
+            small_config(init="known")
+
+    def test_more_known_codes_than_slots_rejected(self):
+        with pytest.raises(ValueError, match="more seed codes than population slots"):
+            small_config(N=59, P=2, E=1, M=2, init="known")
 
 
 class TestInitPopulation:
-    def test_seed_codes_lead_the_population(self):
-        rng = np.random.default_rng(0)
-        seed_code = tuple(random_code(12, rng).tolist())
-        cfg = small_config(seed_codes=(seed_code,))
+    def test_known_codes_lead_the_population(self):
+        from phasecode.baselines import known_code
+
+        cfg = small_config(N=59, init="known")
         pop = init_population(cfg, np.random.default_rng(cfg.seed))
-        assert pop.codes.shape == (60, 12)
-        assert pop.codes[0].tolist() == list(seed_code)
+        assert pop.codes.shape == (60, 59)
+        # The registry minus the GA's own code, in registry order.
+        want = [known_code(name).code.tolist() for name in ("legendre", "alphaseq", "hpgan")]
+        assert pop.codes[:3].tolist() == want
 
     def test_reproducible_random_init(self):
         cfg = small_config()
@@ -593,11 +601,10 @@ class TestRun:
         assert stopped.history[-1].k <= 6
 
     def test_seeded_run_contains_seed_code(self):
-        rng = np.random.default_rng(26)
-        seed_code = tuple(random_code(12, rng).tolist())
-        cfg = small_config(seed_codes=(seed_code,), N_G=1)
-        res = run(cfg)
-        assert res.best_gamma >= fitness(as_code(seed_code)) - 1e-12
+        from phasecode.baselines import known_code
+
+        res = run(small_config(N=59, N_G=1, init="known"))
+        assert res.best_gamma >= fitness(known_code("hpgan").code)
 
 
 class TestRunCounts:
