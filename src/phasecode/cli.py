@@ -291,16 +291,18 @@ def cmd_sweep(args) -> int:
             f"sweep range must satisfy 2 <= lo <= hi <= {_MAX_SWEEP_N}, "
             f"got [{args.lo}, {args.hi}]"
         )
-    out = _out_dir(args)
     # --seed, else the config file's seed, else the GaConfig default.
     base_seed = _build_ga_config(args, N=args.lo).seed
+    # Every length's config is built, and so checked, before the first run starts.
+    configs = [_build_ga_config(args, N=n, seed=derive_sweep_seed(base_seed, n))
+               for n in range(args.lo, args.hi + 1)]
+    out = _out_dir(args)
     rows = []
-    for n in range(args.lo, args.hi + 1):
-        config = _build_ga_config(args, N=n, seed=derive_sweep_seed(base_seed, n))
-        run_id = f"search_N{n}_seed{config.seed}"
+    for config in configs:
+        run_id = f"search_N{config.N}_seed{config.seed}"
         result = _run_and_write(config, run_id, out, args.stop_gamma,
                                 _progress(run_id) if args.verbose else None)
-        rows.append((n, _fmt(result.best_gamma), result.total_visited_states))
+        rows.append((config.N, _fmt(result.best_gamma), result.total_visited_states))
     with _atomic_open(out / "sweep.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", "best_gamma", "visited_states"])
@@ -330,9 +332,10 @@ def cmd_study(args) -> int:
 
 
 def cmd_bruteforce(args) -> int:
-    out = _out_dir(args)
     t0 = time.perf_counter()
+    # The work runs first, so a bad N raises before --out is made.
     code, gamma = baselines.brute_force_best(args.N)
+    out = _out_dir(args)
     _write_result(
         out / f"bruteforce_N{args.N}.result.txt",
         {
@@ -351,9 +354,10 @@ def cmd_bruteforce(args) -> int:
 
 
 def cmd_randomsearch(args) -> int:
-    out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
+    # The work runs first, so a bad N or budget raises before --out is made.
     result = baselines.random_search(args.N, args.budget, rng)
+    out = _out_dir(args)
     run_id = f"randomsearch_N{args.N}_seed{args.seed}"
     _write_run_log(out / f"{run_id}.log.csv", run_id, args.seed, result.history)
     _write_result(

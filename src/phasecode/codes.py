@@ -70,19 +70,24 @@ def unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     distinct-row number of every row), so ``codes[first][inverse]`` equals
     ``codes``.
 
-    One stable lexicographic sort of the key words groups equal rows with the
-    first occurrence leading each group, and orders the groups as bit
-    strings, which is the byte order numpy uses to sort and search voids.
+    One sort of the key words groups equal rows and orders the groups as
+    bit strings, which is the byte order numpy uses to sort and search
+    voids. A one-word key (N <= 63) takes numpy's SIMD ``argsort``, which
+    is not stable; wider keys take ``np.lexsort``. Either way each group's
+    first occurrence is its least index, found with ``np.minimum.reduceat``.
     """
     words = _key_words(codes)
     native = words.astype(np.uint64)
-    order = np.lexsort(native.T[::-1])
+    if native.shape[1] == 1:
+        order = np.argsort(native[:, 0])
+    else:
+        order = np.lexsort(native.T[::-1])
     ranked = native[order]
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(starts) - 1
-    first = order[starts]
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
     return words[first].view(f"V{words.shape[1] * 8}")[:, 0], first, inverse
 
 

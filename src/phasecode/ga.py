@@ -188,13 +188,20 @@ def evaluate(pop: Population, cache: ScoreCache) -> Population:
 
 
 def elite_select(pop: Population, E: int) -> np.ndarray:
-    """The E highest-fitness members, ties broken by lower population index."""
+    """The E highest-fitness members, ties broken by lower population index.
+
+    ``np.partition`` finds the E-th highest gamma; only the members at or
+    above it are sorted, stably and in index order, so the result is the
+    head of a full stable sort, ties and -inf included.
+    """
     if pop.gammas is None:
         raise ValueError("population not evaluated yet")
     if not 0 < E < pop.size:
         raise ValueError(f"need 0 < E < P, got E={E}, P={pop.size}")
-    order = np.argsort(-pop.gammas, kind="stable")
-    return pop.codes[order[:E]].copy()
+    neg = -pop.gammas
+    top = np.flatnonzero(neg <= np.partition(neg, E - 1)[E - 1])
+    order = top[np.argsort(neg[top], kind="stable")]
+    return pop.codes[order[:E]]
 
 
 def _draw_tournament_indices(
@@ -204,13 +211,15 @@ def _draw_tournament_indices(
 
     Rejection resampling when collisions are rare (M^2 <= P), otherwise the
     first M entries of per-row random permutations; both give the uniform
-    distinct-draw law.
+    distinct-draw law. A row without a collision never changes, so each
+    re-draw pass checks only the rows it re-drew.
     """
     if M * M <= P:
         idx = rng.integers(0, P, size=(count, M))
+        bad = np.arange(count)
         while True:
-            srt = np.sort(idx, axis=1)
-            bad = np.nonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))[0]
+            srt = np.sort(idx[bad], axis=1)
+            bad = bad[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
             if bad.size == 0:
                 return idx
             idx[bad] = rng.integers(0, P, size=(bad.size, M))
@@ -241,12 +250,11 @@ def tournament_indices(
 def tournament_select(
     pop: Population, M: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Codes of the ``tournament_indices`` winners, as a new (count, N) array
-    (integer-array indexing copies).
+    """Codes of the ``tournament_indices`` winners, as a new (count, N) array.
 
     Draws from ``rng`` exactly as ``tournament_indices`` does.
     """
-    return pop.codes[tournament_indices(pop, M, count, rng)]
+    return np.take(pop.codes, tournament_indices(pop, M, count, rng), axis=0)
 
 
 def prevent_early_convergence(
@@ -279,14 +287,18 @@ def crossover(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndar
 
     Child i takes its first ``split`` symbols from parent a and the rest from
     parent b. Draws, in order: every parent a, every parent b, every split,
-    each uniform (split on [1, N)).
+    each uniform (split on [1, N)). The children start as copies of parents
+    b, and each row's head is then copied over from parent a.
     """
+    pool = np.asarray(pool, dtype=CODE_DTYPE)
     size, n = pool.shape
     ia = rng.integers(0, size, size=count)
     ib = rng.integers(0, size, size=count)
     splits = rng.integers(1, n, size=count)
-    cols = np.arange(n)[None, :]
-    return np.where(cols < splits[:, None], pool[ia], pool[ib]).astype(CODE_DTYPE)
+    children = np.take(pool, ib, axis=0)
+    head = np.arange(n)[None, :] < splits[:, None]
+    np.copyto(children, np.take(pool, ia, axis=0), where=head)
+    return children
 
 
 def mutate(children: np.ndarray, p_muta: float, rng: np.random.Generator) -> np.ndarray:

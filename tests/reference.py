@@ -4,7 +4,10 @@
 analytic law of tournament selection that the GA's sampled tournaments are
 checked against; ``random_code`` and ``cross_correlation`` are the
 single-code forms of ``random_codes`` and of ``x @ shifted(s, i)``;
-``packed_key`` spells out the ``codes.unique_rows`` key bit by bit.
+``packed_key`` spells out the ``codes.unique_rows`` key bit by bit. The
+``*_formula`` functions are the plain forms of GA operators that the
+package computes a faster way: a full stable sort, re-checking every
+tournament on each re-draw pass, and a ``np.where`` crossover.
 """
 
 from __future__ import annotations
@@ -62,3 +65,33 @@ def packed_key(code):
     bits = "".join("1" if v > 0 else "0" for v in code) + "1"
     bits += "0" * (64 * (n // 64 + 1) - len(bits))
     return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+def elite_select_formula(codes: np.ndarray, gammas: np.ndarray, E: int) -> np.ndarray:
+    """The first E rows of a full stable sort by descending gamma."""
+    order = np.argsort(-gammas, kind="stable")
+    return codes[order[:E]]
+
+
+def draw_tournament_indices_formula(
+    rng: np.random.Generator, P: int, M: int, count: int
+) -> np.ndarray:
+    """Rejection resampling that re-sorts and re-checks all ``count`` rows
+    on every pass and re-draws the rows holding a repeated index."""
+    idx = rng.integers(0, P, size=(count, M))
+    while True:
+        srt = np.sort(idx, axis=1)
+        bad = np.nonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))[0]
+        if bad.size == 0:
+            return idx
+        idx[bad] = rng.integers(0, P, size=(bad.size, M))
+
+
+def crossover_formula(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Single-point crossover drawn as ``ga.crossover`` draws it, built with ``np.where``."""
+    size, n = pool.shape
+    ia = rng.integers(0, size, size=count)
+    ib = rng.integers(0, size, size=count)
+    splits = rng.integers(1, n, size=count)
+    cols = np.arange(n)[None, :]
+    return np.where(cols < splits[:, None], pool[ia], pool[ib]).astype(CODE_DTYPE)

@@ -422,6 +422,23 @@ class TestSimulateCommand:
 
 
 class TestCliPlumbing:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "10", "11", "--seed", "-1", "--N_G", "2", "--P", "60", "--E", "12"],
+            # N=59 is a valid length for the published codes; N=60 is not.
+            ["sweep", "59", "60", "--init", "known", "--N_G", "1", "--P", "60", "--E", "12"],
+            ["bruteforce", "30"],
+            ["randomsearch", "12", "0"],
+            ["randomsearch", "1", "10"],
+        ],
+    )
+    def test_rejected_command_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unknown_subcommand_is_exit_one(self, capsys):
         assert main(["transmogrify"]) == 1
 

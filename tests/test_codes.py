@@ -225,21 +225,40 @@ def _code_blocks():
     return st.tuples(st.integers(0, 40), st.integers(2, 200), st.integers(1, 6)).flatmap(block)
 
 
+def assert_matches_dict_of_bytes_reference(codes):
+    first_seen: dict[bytes, int] = {}
+    for idx, row in enumerate(codes):
+        first_seen.setdefault(packed_key(row), idx)
+    ref_keys = sorted(first_seen)
+    rank = {k: r for r, k in enumerate(ref_keys)}
+    keys, first, inverse = unique_rows(codes)
+    assert keys.tolist() == ref_keys
+    assert np.array_equal(np.sort(keys), keys)
+    assert first.tolist() == [first_seen[k] for k in ref_keys]
+    assert inverse.tolist() == [rank[packed_key(row)] for row in codes]
+    assert np.array_equal(codes[first][inverse], codes)
+
+
 class TestUniqueRows:
     @settings(max_examples=200, deadline=None)
     @given(_code_blocks())
     def test_matches_dict_of_bytes_reference(self, codes):
-        first_seen: dict[bytes, int] = {}
-        for idx, row in enumerate(codes):
-            first_seen.setdefault(packed_key(row), idx)
-        ref_keys = sorted(first_seen)
-        rank = {k: r for r, k in enumerate(ref_keys)}
-        keys, first, inverse = unique_rows(codes)
-        assert keys.tolist() == ref_keys
-        assert np.array_equal(np.sort(keys), keys)
-        assert first.tolist() == [first_seen[k] for k in ref_keys]
-        assert inverse.tolist() == [rank[packed_key(row)] for row in codes]
-        assert np.array_equal(codes[first][inverse], codes)
+        assert_matches_dict_of_bytes_reference(codes)
+
+    @pytest.mark.parametrize("n", [16, 63, 64, 100])
+    def test_matches_reference_at_scale(self, n):
+        # Small inputs are sorted by insertion sort, which is stable in
+        # practice; 20,000 rows with 400 copies of each code reach the
+        # unstable sort, where each group's first occurrence must be found.
+        rng = np.random.default_rng(31)
+        pool = np.stack([random_code(n, rng) for _ in range(50)])
+        assert_matches_dict_of_bytes_reference(pool[rng.integers(0, 50, 20_000)])
+
+    @pytest.mark.parametrize("n, width", [(16, 8), (100, 16)])
+    def test_empty_matrix(self, n, width):
+        keys, first, inverse = unique_rows(np.empty((0, n), np.int8))
+        assert keys.dtype == np.dtype(f"V{width}")
+        assert keys.size == first.size == inverse.size == 0
 
     def test_key_is_one_to_one_across_lengths(self):
         # At 63, 64 and 127 one or two trailing -1 symbols move the stop bit

@@ -29,7 +29,15 @@ from phasecode.ga import (
     tournament_indices,
     tournament_select,
 )
-from reference import packed_key, random_code, survival_probability, tournament_win_probability
+from reference import (
+    crossover_formula,
+    draw_tournament_indices_formula,
+    elite_select_formula,
+    packed_key,
+    random_code,
+    survival_probability,
+    tournament_win_probability,
+)
 
 
 def small_config(**overrides):
@@ -167,6 +175,19 @@ class TestEliteSelect:
         assert np.array_equal(elites[0], codes[2])
         assert np.array_equal(elites[1], codes[0])
 
+    @pytest.mark.parametrize("E", [1, 100, 250, 251, 500, 750, 751, 999])
+    def test_matches_full_stable_sort_on_heavy_ties(self, E):
+        # Four values, 250 members each: E falls inside a block of ties or on
+        # its edge, and from E = 751 the E-th highest gamma is -inf.
+        rng = np.random.default_rng(15)
+        values = np.array([3.0, 2.0, 1.0, float("-inf")])
+        gammas = values[rng.permutation(np.repeat(np.arange(4), 250))]
+        pop = Population(generation=0, codes=np.stack([random_code(12, rng) for _ in range(1000)]),
+                         gammas=gammas)
+        elites = elite_select(pop, E)
+        assert elites.dtype == np.int8
+        assert np.array_equal(elites, elite_select_formula(pop.codes, gammas, E))
+
 
 class TestTournamentSelect:
     def test_full_tournament_returns_global_best(self):
@@ -198,6 +219,16 @@ class TestTournamentSelect:
             p = tournament_win_probability(P, M, i)
             sigma = math.sqrt(p * (1 - p) / draws)
             assert abs(counts[i - 1] / draws - p) <= 4 * sigma + 1e-12
+
+    def test_draws_match_full_recheck_formula(self):
+        # M^2 <= P with P=30, M=5: about 30% of rows collide, so several
+        # re-draw passes run. The indices and the generator state afterwards
+        # must both match the formula that re-checks every row on each pass.
+        rng, ref = np.random.default_rng(16), np.random.default_rng(16)
+        idx = ga._draw_tournament_indices(rng, 30, 5, 2000)
+        assert np.array_equal(idx, draw_tournament_indices_formula(ref, 30, 5, 2000))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert all(len(set(row)) == 5 for row in idx.tolist())
 
 
 class TestWinProbability:
@@ -280,6 +311,15 @@ class TestCrossover:
         assert example.any()
         for child in children[example]:
             assert child.tolist() == [1, -1, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("n", [2, 16, 59, 100])
+    def test_matches_where_formula(self, n):
+        rng = np.random.default_rng(17)
+        pool = np.stack([random_code(n, rng) for _ in range(300)])
+        children = crossover(pool, 1000, np.random.default_rng(18))
+        expected = crossover_formula(pool, 1000, np.random.default_rng(18))
+        assert children.dtype == expected.dtype == np.int8
+        assert np.array_equal(children, expected)
 
     def test_self_crossover_identity(self):
         rng = np.random.default_rng(12)
