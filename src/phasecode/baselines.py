@@ -8,6 +8,7 @@ values, so any storage or solver regression is caught at the source.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .ga import GenerationStats, RunResult, ScoreCache, score_codes
 # Hard cap for exhaustive enumeration.
 _BRUTE_FORCE_MAX_N = 20
 
-# Bit reversal of each byte value, for the reversed image in ``_orbit_minima``.
+# Bit reversal of each byte value, for the reversed image in ``_orbit_images``.
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
 
 # Relative gap within which brute force treats two gammas as tied: well
@@ -180,31 +181,20 @@ def random_search(N: int, budget: int, rng: np.random.Generator) -> RunResult:
         best_code=best_code,
         best_gamma=best_gamma,
         history=history,
-        config={"mode": "randomsearch", "N": N, "budget": budget},
         total_visited_states=len(cache),
         total_evaluations=done,
     )
 
 
-def _symmetry_orbit(code: np.ndarray) -> np.ndarray:
-    """The 8 codes that share the gamma of ``code``: negation x reversal x alternation.
-
-    Alternation s[n] -> (-1)^n s[n] maps R to D R D with D = diag((-1)^n),
-    which leaves s^T R^{-1} s unchanged.
-    """
-    alt = np.where(np.arange(code.size) % 2, -1, 1).astype(code.dtype)
-    base = np.stack([code, code[::-1]])
-    base = np.concatenate([base, base * alt])
-    return np.concatenate([base, -base])
-
-
-def _orbit_minima(N: int, ks: np.ndarray) -> np.ndarray:
-    """Which N-bit code indices are the least of their symmetry orbit.
+def _orbit_images(N: int, ks: np.ndarray) -> list[np.ndarray]:
+    """The 8 images of N-bit code indices under negation x reversal x alternation.
 
     Index k holds symbol n in bit N-1-n with +1 as 1, so integer order is
     lexicographic order with -1 before +1. Negation is ``k ^ full``,
-    alternation ``k ^ alt`` and reversal the N-bit reversal of k, read
-    through a byte table; the 8 images are those of ``_symmetry_orbit``.
+    alternation s[n] -> (-1)^n s[n] is ``k ^ alt`` and reversal is the N-bit
+    reversal of k, read through a byte table. All 8 share the gamma of k:
+    alternation maps R to D R D with D = diag((-1)^n), which leaves
+    s^T R^{-1} s unchanged.
     """
     full = (1 << N) - 1
     alt = sum(1 << (N - 1 - n) for n in range(1, N, 2))
@@ -213,16 +203,18 @@ def _orbit_minima(N: int, ks: np.ndarray) -> np.ndarray:
     for shift in range(0, width, 8):
         rev = (rev << 8) | _REVERSED_BYTES[(ks >> shift) & 0xFF]
     rev >>= width - N
-    least = rev
-    for mask in (full, alt, alt ^ full):
-        least = np.minimum(least, np.minimum(ks ^ mask, rev ^ mask))
-    return ks <= least
+    return [image ^ mask for image in (ks, rev) for mask in (0, full, alt, alt ^ full)]
+
+
+def _index_codes(N: int, ks: np.ndarray) -> np.ndarray:
+    """The (len(ks), N) codes of N-bit code indices (see ``_orbit_images``)."""
+    return (2 * ((ks[:, None] >> np.arange(N - 1, -1, -1)) & 1) - 1).astype(np.int8)
 
 
 def brute_force_best(N: int) -> tuple[PhaseCode, float]:
     """Exact argmax of fitness over all bipolar codes of length N.
 
-    Scores one code per ``_symmetry_orbit``, its lexicographic minimum, since
+    Scores one code per orbit of ``_orbit_images``, its smallest, since
     negation, reversal and alternation keep gamma exactly. Ties resolve to
     the lexicographically smallest optimal code with -1 ordered before +1.
     Symmetric codes tie exactly, but rounding splits their gammas by a few
@@ -238,24 +230,21 @@ def brute_force_best(N: int) -> tuple[PhaseCode, float]:
     # clear, so only the indices below 2^(N-2) are enumerated.
     total = 1 << (N - 2)
     chunk = 8192
-    bit_shifts = np.arange(N - 1, -1, -1)
     best_gamma = float("-inf")
-    near_codes: list[np.ndarray] = []
+    near_ks: list[np.ndarray] = []
     near_gammas: list[np.ndarray] = []
     for lo in range(0, total, chunk):
         ks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        ks = ks[_orbit_minima(N, ks)]
-        codes = (2 * ((ks[:, None] >> bit_shifts) & 1) - 1).astype(np.int8)
-        gammas = fitness_batch(codes)
+        # Pairwise minima: ``np.minimum.reduce`` stacks the 8 images first, 3x slower.
+        ks = ks[ks <= functools.reduce(np.minimum, _orbit_images(N, ks))]
+        gammas = fitness_batch(_index_codes(N, ks))
         gammas = np.where(np.isfinite(gammas), gammas, float("-inf"))
         best_gamma = float(gammas.max(initial=best_gamma))
         # Every defined gamma is > 0, so this keeps the near-ties of the best.
         near = gammas >= best_gamma * (1 - _TIE_RTOL)
-        near_codes.append(codes[near])
+        near_ks.append(ks[near])
         near_gammas.append(gammas[near])
-    tied = np.concatenate(near_codes)[
-        np.concatenate(near_gammas) >= best_gamma * (1 - _TIE_RTOL)
-    ]
-    candidates = np.concatenate([_symmetry_orbit(c) for c in tied])
-    best = min(candidates.tolist())  # lists compare lexicographically
-    return np.array(best, dtype=np.int8), float(fitness_batch(candidates).max())
+    tied = np.concatenate(near_ks)[np.concatenate(near_gammas) >= best_gamma * (1 - _TIE_RTOL)]
+    # Ascending distinct indices, so the first candidate is the smallest code.
+    candidates = _index_codes(N, np.unique(_orbit_images(N, tied)))
+    return candidates[0], float(fitness_batch(candidates).max())

@@ -255,6 +255,7 @@ def _out_dir(args) -> Path:
 
 def cmd_search(args) -> int:
     config = _build_ga_config(args)
+    ga.check_stop_gamma(args.stop_gamma)
     out = _out_dir(args)
     run_id = args.run_id or f"search_N{config.N}_seed{config.seed}"
     _run_and_write(config, run_id, out, args.stop_gamma,
@@ -296,6 +297,7 @@ def cmd_sweep(args) -> int:
     # Every length's config is built, and so checked, before the first run starts.
     configs = [_build_ga_config(args, N=n, seed=derive_sweep_seed(base_seed, n))
                for n in range(args.lo, args.hi + 1)]
+    ga.check_stop_gamma(args.stop_gamma)
     out = _out_dir(args)
     rows = []
     for config in configs:
@@ -324,6 +326,11 @@ def cmd_study(args) -> int:
     # Every value's config is built, and so checked, before the first run starts.
     configs = [_build_ga_config(args, **{name: _parse_field(name, value)})
                for value in args.values]
+    for i, config in enumerate(configs):
+        if config in configs[:i]:  # values that parse equal, such as 0.3 and 0.30
+            raise ValueError(f"study value {args.values[i]!r} repeats "
+                             f"{name} = {getattr(config, name)!r}")
+    ga.check_stop_gamma(args.stop_gamma)
     out = _out_dir(args)
     for value, config in zip(args.values, configs):
         run_id = f"study_{args.variable}_{value}_seed{config.seed}"

@@ -91,17 +91,17 @@ def _init_codes(config: GaConfig) -> np.ndarray:
 
 @dataclass
 class Population:
-    """Ordered population of codes with (lazily filled) fitness values.
+    """Ordered population of scored codes; ``evaluate`` builds one.
 
     ``gammas[p]`` is the SCR of ``codes[p]``; undefined scores are stored as
     -inf so every comparison stays total. ``distinct_members`` is the number
-    of distinct codes. Both are None until evaluated.
+    of distinct codes.
     """
 
     generation: int
     codes: np.ndarray  # (P, N) int8
-    gammas: np.ndarray | None = None
-    distinct_members: int | None = None
+    gammas: np.ndarray  # (P,) float
+    distinct_members: int
 
     @property
     def size(self) -> int:
@@ -123,16 +123,15 @@ class RunResult:
     best_code: PhaseCode
     best_gamma: float
     history: list[GenerationStats]
-    config: GaConfig
     total_visited_states: int
     total_evaluations: int
 
 
-def init_population(config: GaConfig, rng: np.random.Generator) -> Population:
-    """The ``init`` codes followed by uniform random codes up to size P."""
+def init_population(config: GaConfig, rng: np.random.Generator) -> np.ndarray:
+    """Generation 0's (P, N) codes: the ``init`` codes, then uniform random codes."""
     seeds = _init_codes(config)
     fill = random_codes(config.P - len(seeds), config.N, rng)
-    return Population(generation=0, codes=np.concatenate([seeds, fill]))
+    return np.concatenate([seeds, fill])
 
 
 @dataclass
@@ -181,10 +180,9 @@ def score_codes(codes: np.ndarray, cache: ScoreCache) -> tuple[np.ndarray, int]:
     return np.where(np.isnan(gammas), -np.inf, gammas)[inverse], keys.size
 
 
-def evaluate(pop: Population, cache: ScoreCache) -> Population:
-    """Fill every score through the cache (``score_codes``) and count the distinct codes."""
-    pop.gammas, pop.distinct_members = score_codes(pop.codes, cache)
-    return pop
+def evaluate(codes: np.ndarray, cache: ScoreCache, generation: int = 0) -> Population:
+    """The population of ``codes``, scored through the cache (``score_codes``)."""
+    return Population(generation, codes, *score_codes(codes, cache))
 
 
 def elite_select(pop: Population, E: int) -> np.ndarray:
@@ -194,8 +192,6 @@ def elite_select(pop: Population, E: int) -> np.ndarray:
     above it are sorted, stably and in index order, so the result is the
     head of a full stable sort, ties and -inf included.
     """
-    if pop.gammas is None:
-        raise ValueError("population not evaluated yet")
     if not 0 < E < pop.size:
         raise ValueError(f"need 0 < E < P, got E={E}, P={pop.size}")
     neg = -pop.gammas
@@ -238,8 +234,6 @@ def tournament_indices(
     first drawn index wins (the ``argmax`` rule). Indices, not codes, identify
     winners, so members that happen to share a code stay distinguishable.
     """
-    if pop.gammas is None:
-        raise ValueError("population not evaluated yet")
     if not 1 <= M <= pop.size:
         raise ValueError(f"tournament size {M} out of range for P={pop.size}")
     idx = _draw_tournament_indices(rng, pop.size, M, count)
@@ -327,8 +321,6 @@ def step_generation(
     pairs, split points, mutation gates, mutation positions, duplicate-keep
     draws, padding codes.
     """
-    if pop.gammas is None:
-        raise ValueError("population not evaluated yet")
     P, E = config.P, config.E
     elites = elite_select(pop, E)
     winners = tournament_select(pop, config.M, P - E, rng)
@@ -337,9 +329,7 @@ def step_generation(
     children = mutate(children, config.p_muta, rng)
     candidate = np.concatenate([children, elites])
     kept = prevent_early_convergence(candidate, config.p_conv, rng)
-    codes = pad_population(kept, P, rng)
-    nxt = Population(generation=pop.generation + 1, codes=codes)
-    return evaluate(nxt, cache)
+    return evaluate(pad_population(kept, P, rng), cache, pop.generation + 1)
 
 
 def _population_stats(pop: Population, visited: int, t0: float) -> GenerationStats:
@@ -354,50 +344,48 @@ def _population_stats(pop: Population, visited: int, t0: float) -> GenerationSta
     )
 
 
+def check_stop_gamma(stop_gamma: float | None) -> None:
+    """Reject a non-finite ``stop_gamma``: no score reaches NaN, and none reaches +inf."""
+    if stop_gamma is not None and not math.isfinite(stop_gamma):
+        raise ValueError(f"stop_gamma must be finite, got {stop_gamma}")
+
+
 def run(
     config: GaConfig,
     stop_gamma: float | None = None,
     on_generation: Callable[[GenerationStats], None] | None = None,
 ) -> RunResult:
-    """Full search: init, evaluate, N_G generation steps, per-generation stats.
+    """Full search: from generation 0, record each generation, then step to the next.
 
     ``stop_gamma`` ends the run early once the best score reaches it (the
-    recorded history is still complete up to that generation). It must be
-    finite: no score reaches NaN, and none reaches +inf. Deterministic
-    for a fixed config: all stochastic operators share one seeded stream.
+    recorded history is still complete up to that generation); it must be
+    finite (``check_stop_gamma``). Deterministic for a fixed config: all
+    stochastic operators share one seeded stream.
     """
-    if stop_gamma is not None and not math.isfinite(stop_gamma):
-        raise ValueError(f"stop_gamma must be finite, got {stop_gamma}")
+    check_stop_gamma(stop_gamma)
     rng = np.random.default_rng(config.seed)
     cache = ScoreCache()
     t0 = time.perf_counter()
+    history: list[GenerationStats] = []
+    best_code, best_gamma = None, -math.inf
 
     pop = evaluate(init_population(config, rng), cache)
-    best_idx = int(np.argmax(pop.gammas))
-    best_code = pop.codes[best_idx].copy()
-    best_gamma = float(pop.gammas[best_idx])
-
-    history = [_population_stats(pop, len(cache), t0)]
-    if on_generation:
-        on_generation(history[-1])
-
-    for _ in range(config.N_G):
-        if stop_gamma is not None and best_gamma >= stop_gamma:
-            break
-        pop = step_generation(pop, config, cache, rng)
+    while True:
         idx = int(np.argmax(pop.gammas))
-        if float(pop.gammas[idx]) > best_gamma:
+        if best_code is None or pop.gammas[idx] > best_gamma:
             best_gamma = float(pop.gammas[idx])
             best_code = pop.codes[idx].copy()
         history.append(_population_stats(pop, len(cache), t0))
         if on_generation:
             on_generation(history[-1])
+        if pop.generation == config.N_G or (stop_gamma is not None and best_gamma >= stop_gamma):
+            break
+        pop = step_generation(pop, config, cache, rng)
 
     return RunResult(
         best_code=best_code,
         best_gamma=best_gamma,
         history=history,
-        config=config,
         total_visited_states=len(cache),
         total_evaluations=config.P * len(history),
     )

@@ -95,3 +95,15 @@ def crossover_formula(pool: np.ndarray, count: int, rng: np.random.Generator) ->
     splits = rng.integers(1, n, size=count)
     cols = np.arange(n)[None, :]
     return np.where(cols < splits[:, None], pool[ia], pool[ib]).astype(CODE_DTYPE)
+
+
+def symmetry_orbit(code: np.ndarray) -> np.ndarray:
+    """The 8 codes that share the gamma of ``code``: negation x reversal x alternation.
+
+    Alternation s[n] -> (-1)^n s[n] maps R to D R D with D = diag((-1)^n),
+    which leaves s^T R^{-1} s unchanged.
+    """
+    alt = np.where(np.arange(code.size) % 2, -1, 1).astype(code.dtype)
+    base = np.stack([code, code[::-1]])
+    base = np.concatenate([base, base * alt])
+    return np.concatenate([base, -base])

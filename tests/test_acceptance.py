@@ -169,8 +169,8 @@ class TestCriterion6OperatorStatistics:
         P, M, draws = 100, 5, 1_000_000
         rng = np.random.default_rng(60)
         codes = np.stack([random_code(12, rng) for _ in range(P)])
-        pop = Population(0, codes)
-        pop.gammas = np.arange(P, 0, -1).astype(float)  # index i = rank i+1
+        gammas = np.arange(P, 0, -1).astype(float)  # index i = rank i+1
+        pop = Population(0, codes, gammas, len(np.unique(codes, axis=0)))
         # Count winners by population index: this fixture holds four pairs of
         # identical codes, so a code cannot name its member.
         indices = tournament_indices(pop, M, draws, np.random.default_rng(61))

@@ -11,7 +11,7 @@ from phasecode.baselines import (
     random_search,
 )
 from phasecode.fitness import fitness, fitness_batch
-from reference import random_code
+from reference import random_code, symmetry_orbit
 
 # Frozen at first computation: exact optimum for N=12 (enumeration of one
 # code per symmetry orbit, 528 of the 4096 codes). The exact gamma is
@@ -150,10 +150,14 @@ class TestBruteForce:
 
     def test_orbit_minimum_filter_matches_symmetry_orbit(self):
         for n in range(2, 13):
-            keep = baselines._orbit_minima(n, np.arange(1 << n, dtype=np.int64))
-            for k, code in enumerate(all_codes(n)):
-                least = min(baselines._symmetry_orbit(code).tolist())
-                assert keep[k] == (code.tolist() == least), (n, k)
+            ks = np.arange(1 << n, dtype=np.int64)
+            images = baselines._orbit_images(n, ks)
+            keep = ks <= np.min(images, axis=0)
+            codes = all_codes(n)  # codes[k] is the code of index k
+            for k, code in enumerate(codes):
+                orbit = symmetry_orbit(code).tolist()
+                assert sorted(codes[image[k]].tolist() for image in images) == sorted(orbit)
+                assert keep[k] == (code.tolist() == min(orbit)), (n, k)
             # Every orbit minimum has symbols 0 and 1 at -1, so brute force
             # enumerates only the indices below 2^(n-2).
             assert not keep[1 << (n - 2) :].any(), n
@@ -171,7 +175,7 @@ class TestBruteForce:
             # The last call re-scores the orbits of the near-tied codes.
             enumerated = np.concatenate(scored[:-1]).tolist()
             orbits = {
-                tuple(min(baselines._symmetry_orbit(code).tolist()))
+                tuple(min(symmetry_orbit(code).tolist()))
                 for code in all_codes(n)
             }
             if n == 12:

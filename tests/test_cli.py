@@ -188,6 +188,15 @@ class TestSearchCommand:
         assert err.startswith("error: stop_gamma must be finite")
         assert "Traceback" not in err
 
+    def test_verbose_prints_one_line_per_log_row(self, tmp_path, capsys):
+        assert main(["search", *SMALL, "--seed", "3", "--verbose", "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "search_N16_seed3.log.csv")[1:]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(rows) == 7
+        for line, row in zip(lines, rows):
+            assert line.startswith(f"[search_N16_seed3] k={row[2]} best="), line
+            assert line.endswith(f" visited={row[6]}"), line
+
     def test_unallocatable_population_is_exit_one(self, tmp_path, capsys):
         # numpy refuses the 52 PiB request up front, before allocating anything.
         argv = ["search", "--N", "59", "--N_G", "1", "--P", "1000000000000000",
@@ -350,6 +359,14 @@ class TestStudyCommand:
         assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", [["0.3", "0.30"], ["0.3", "0.7", "0.3"]])
+    def test_repeated_value_rejected_before_the_first_run(self, tmp_path, capsys, values):
+        out = tmp_path / "study"
+        assert main(["study", "--variable", "p_conv", "--values", *values, *self.ARGS,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: study value {values[-1]!r} repeats")
+        assert not out.exists()
+
     def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys):
         assert main(["study", "--variable", "M", "--values", "2.5",
                      "--out", str(tmp_path)]) == 1
@@ -431,6 +448,10 @@ class TestCliPlumbing:
             ["bruteforce", "30"],
             ["randomsearch", "12", "0"],
             ["randomsearch", "1", "10"],
+            ["search", "--N", "12", "--N_G", "2", "--P", "60", "--E", "12", "--stop-gamma", "nan"],
+            ["sweep", "10", "11", "--N_G", "2", "--P", "60", "--E", "12", "--stop-gamma", "inf"],
+            ["study", "--variable", "M", "--values", "3", "5", "--N", "12", "--N_G", "2",
+             "--P", "60", "--E", "12", "--stop-gamma", "nan"],
         ],
     )
     def test_rejected_command_writes_nothing(self, tmp_path, capsys, argv):

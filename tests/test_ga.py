@@ -47,8 +47,12 @@ def small_config(**overrides):
 
 
 def evaluated_population(codes):
-    pop = Population(generation=0, codes=np.asarray(codes, dtype=np.int8))
-    return evaluate(pop, ScoreCache())
+    return evaluate(np.asarray(codes, dtype=np.int8), ScoreCache())
+
+
+def ranked_population(codes, gammas):
+    """A population of ``codes`` with the given gammas, as if scored."""
+    return Population(0, codes, np.asarray(gammas, dtype=float), len(unique_rows(codes)[0]))
 
 
 class TestGaConfig:
@@ -93,31 +97,30 @@ class TestInitPopulation:
         from phasecode.baselines import known_code
 
         cfg = small_config(N=59, init="known")
-        pop = init_population(cfg, np.random.default_rng(cfg.seed))
-        assert pop.codes.shape == (60, 59)
+        codes = init_population(cfg, np.random.default_rng(cfg.seed))
+        assert codes.shape == (60, 59)
         # The registry minus the GA's own code, in registry order.
         want = [known_code(name).code.tolist() for name in ("legendre", "alphaseq", "hpgan")]
-        assert pop.codes[:3].tolist() == want
+        assert codes[:3].tolist() == want
 
     def test_reproducible_random_init(self):
         cfg = small_config()
         a = init_population(cfg, np.random.default_rng(5))
         b = init_population(cfg, np.random.default_rng(5))
-        assert np.array_equal(a.codes, b.codes)
+        assert np.array_equal(a, b)
 
     def test_symbol_mean_near_zero_at_scale(self):
         cfg = GaConfig(N=59, P=10_000, E=2_000)
-        pop = init_population(cfg, np.random.default_rng(3))
-        assert abs(float(pop.codes.mean())) <= 0.01
+        codes = init_population(cfg, np.random.default_rng(3))
+        assert abs(float(codes.mean())) <= 0.01
 
 
 class TestEvaluate:
     def test_identical_members_cost_one_miss(self):
         rng = np.random.default_rng(1)
         code = random_code(12, rng)
-        pop = Population(0, np.tile(code, (30, 1)))
         cache = ScoreCache()
-        evaluate(pop, cache)
+        pop = evaluate(np.tile(code, (30, 1)), cache)
         assert len(cache) == 1 and pop.distinct_members == 1
         assert np.allclose(pop.gammas, pop.gammas[0])
 
@@ -127,7 +130,7 @@ class TestEvaluate:
         s_ga = known_code("ga").code
         rng = np.random.default_rng(2)
         codes = np.vstack([s_ga, *(random_code(59, rng) for _ in range(9))])
-        pop = evaluate(Population(0, codes), ScoreCache())
+        pop = evaluate(codes, ScoreCache())
         assert pop.gammas[0] == pytest.approx(50.84, abs=0.01)
 
     def test_reevaluation_adds_no_misses(self):
@@ -135,7 +138,7 @@ class TestEvaluate:
         cache = ScoreCache()
         pop = evaluate(init_population(cfg, np.random.default_rng(0)), cache)
         keys, gammas = cache.keys.tolist(), cache.gammas.copy()
-        evaluate(pop, cache)
+        evaluate(pop.codes, cache)
         assert cache.keys.tolist() == keys
         assert np.array_equal(cache.gammas, gammas, equal_nan=True)
 
@@ -144,8 +147,7 @@ class TestEliteSelect:
     def test_picks_highest_scores(self):
         rng = np.random.default_rng(3)
         codes = np.stack([random_code(12, rng) for _ in range(3)])
-        pop = evaluated_population(codes)
-        pop.gammas = np.array([3.0, 1.0, 2.0])
+        pop = ranked_population(codes, [3.0, 1.0, 2.0])
         elites = elite_select(pop, 2)
         assert np.array_equal(elites[0], codes[0])
         assert np.array_equal(elites[1], codes[2])
@@ -169,8 +171,7 @@ class TestEliteSelect:
     def test_undefined_scores_rank_last(self):
         rng = np.random.default_rng(6)
         codes = np.stack([random_code(12, rng) for _ in range(4)])
-        pop = evaluated_population(codes)
-        pop.gammas = np.array([1.0, float("-inf"), 2.0, float("-inf")])
+        pop = ranked_population(codes, [1.0, float("-inf"), 2.0, float("-inf")])
         elites = elite_select(pop, 2)
         assert np.array_equal(elites[0], codes[2])
         assert np.array_equal(elites[1], codes[0])
@@ -182,8 +183,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(15)
         values = np.array([3.0, 2.0, 1.0, float("-inf")])
         gammas = values[rng.permutation(np.repeat(np.arange(4), 250))]
-        pop = Population(generation=0, codes=np.stack([random_code(12, rng) for _ in range(1000)]),
-                         gammas=gammas)
+        pop = ranked_population(np.stack([random_code(12, rng) for _ in range(1000)]), gammas)
         elites = elite_select(pop, E)
         assert elites.dtype == np.int8
         assert np.array_equal(elites, elite_select_formula(pop.codes, gammas, E))
@@ -211,8 +211,7 @@ class TestTournamentSelect:
         P, M, draws = 20, 3, 200_000
         rng = np.random.default_rng(9)
         codes = np.stack([random_code(12, rng) for _ in range(P)])
-        pop = evaluated_population(codes)
-        pop.gammas = np.arange(P, 0, -1).astype(float)  # rank i has index i-1
+        pop = ranked_population(codes, np.arange(P, 0, -1))  # rank i has index i-1
         winners = tournament_indices(pop, M, draws, np.random.default_rng(2))
         counts = np.bincount(winners, minlength=P)
         for i in range(1, P + 1):
@@ -277,8 +276,7 @@ class TestSurvivalProbability:
         P, M, E, reps = 100, 5, 20, 100_000
         rng = np.random.default_rng(10)
         codes = np.stack([random_code(12, rng) for _ in range(P)])
-        pop = evaluated_population(codes)
-        pop.gammas = np.arange(P, 0, -1).astype(float)
+        pop = ranked_population(codes, np.arange(P, 0, -1))
         draw_rng = np.random.default_rng(11)
         hits = 0
         for _ in range(reps):
@@ -596,7 +594,7 @@ class TestStepGeneration:
         cfg = small_config(p_muta=0.0, p_conv=1.0)
         rng = np.random.default_rng(2)
         code = random_code(cfg.N, rng)
-        pop = evaluate(Population(0, np.tile(code, (cfg.P, 1))), ScoreCache())
+        pop = evaluate(np.tile(code, (cfg.P, 1)), ScoreCache())
         nxt = step_generation(pop, cfg, ScoreCache(), np.random.default_rng(3))
         assert nxt.codes.shape == (cfg.P, cfg.N)
         assert all(np.array_equal(row, code) for row in nxt.codes)
@@ -639,6 +637,23 @@ class TestRun:
         stopped = run(cfg, stop_gamma=target)
         assert stopped.best_gamma >= target
         assert stopped.history[-1].k <= 6
+
+    @pytest.mark.parametrize("stop", ["none", "mid_run", "generation_0"])
+    def test_on_generation_receives_the_history_rows(self, stop):
+        cfg = small_config(N_G=10)
+        full = run(cfg)
+        # Stop at the first gain over generation 0's best, or at that best itself.
+        k = next(st.k for st in full.history if st.best_gamma > full.history[0].best_gamma)
+        assert 0 < k < cfg.N_G
+        stop_gamma, rows = {
+            "none": (None, cfg.N_G + 1),
+            "mid_run": (full.history[k].best_gamma, k + 1),
+            "generation_0": (full.history[0].best_gamma, 1),
+        }[stop]
+        seen = []
+        res = run(cfg, stop_gamma=stop_gamma, on_generation=seen.append)
+        assert len(res.history) == rows
+        assert len(seen) == rows and all(a is b for a, b in zip(seen, res.history))
 
     def test_seeded_run_contains_seed_code(self):
         from phasecode.baselines import known_code
