@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -114,10 +113,15 @@ def _build_ga_config(args, **overrides) -> GaConfig:
 
 
 def _add_ga_flags(parser) -> None:
+    """The flags ``search``, ``sweep`` and ``study`` share: --config, one
+    flag per GaConfig field, --out and --stop-gamma."""
     parser.add_argument("--config", help="flat key=value config file")
     for f in fields(GaConfig):
         parser.add_argument(f"--{f.name}", type=_SCALAR_FIELDS[f.name],
                             help=f.metadata["help"])
+    _add_common_flags(parser)
+    parser.add_argument("--stop-gamma", type=float, default=None,
+                        help="stop early once best gamma reaches this value (finite, > 0)")
 
 
 def _add_common_flags(parser) -> None:
@@ -201,50 +205,51 @@ def _write_result(path: Path, meta: dict, code) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _run_and_write(
-    config: GaConfig,
-    run_id: str,
-    out: Path,
-    stop_gamma: float | None,
-    on_generation: Callable[[GenerationStats], None] | None = None,
-) -> RunResult:
-    """Run the GA and write ``<run_id>`` .log.csv, .plot.csv and .result.txt."""
-    result = ga.run(config, stop_gamma=stop_gamma, on_generation=on_generation)
-    _write_run_log(out / f"{run_id}.log.csv", run_id, config.seed, result.history)
-    _write_plot_data(out / f"{run_id}.plot.csv", result.history)
-    # Config echo in field order, with N and seed up front beside the run id.
-    echo = {name: getattr(config, name) for name in _SCALAR_FIELDS}
-    meta = {
-        "run_id": run_id,
-        "mode": "search",
-        "N": echo.pop("N"),
-        "seed": echo.pop("seed"),
-        "gamma": _fmt(result.best_gamma),
-        "visited_states": result.total_visited_states,
-        "total_evaluations": result.total_evaluations,
-        "generations_run": result.history[-1].k,
-        **echo,
-        "elapsed_seconds_total": f"{result.history[-1].elapsed_seconds:.6f}",
-        "cache_hit_rate": f"{1 - result.total_visited_states / result.total_evaluations:.6f}",
-        "peak_rss_mb": f"{_peak_rss_mb():.1f}",
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-    _write_result(out / f"{run_id}.result.txt", meta, result.best_code)
-    print(
-        f"{run_id}: best gamma {result.best_gamma:.4f} after "
-        f"{result.history[-1].k} generations, "
-        f"{result.total_visited_states} visited states"
-    )
-    return result
+def _run_all(args, runs: list[tuple[str, GaConfig]]) -> list[RunResult]:
+    """Run each ``(run_id, config)`` and write its .log.csv, .plot.csv and .result.txt.
 
+    --stop-gamma is checked and --out made once, before the first run. A
+    command with --verbose prints one stderr line per generation.
+    """
+    ga.check_stop_gamma(args.stop_gamma)
+    out = _out_dir(args)
+    results = []
+    for run_id, config in runs:
+        def progress(st: GenerationStats) -> None:
+            print(f"[{run_id}] k={st.k} best={st.best_gamma:.4f} "
+                  f"visited={st.visited_states}", file=sys.stderr)
 
-def _progress(run_id: str) -> Callable[[GenerationStats], None]:
-    return lambda st: print(
-        f"[{run_id}] k={st.k} best={st.best_gamma:.4f} visited={st.visited_states}",
-        file=sys.stderr,
-    )
+        result = ga.run(config, stop_gamma=args.stop_gamma,
+                        on_generation=progress if getattr(args, "verbose", False) else None)
+        _write_run_log(out / f"{run_id}.log.csv", run_id, config.seed, result.history)
+        _write_plot_data(out / f"{run_id}.plot.csv", result.history)
+        # Config echo in field order, with N and seed up front beside the run id.
+        echo = {name: getattr(config, name) for name in _SCALAR_FIELDS}
+        meta = {
+            "run_id": run_id,
+            "mode": "search",
+            "N": echo.pop("N"),
+            "seed": echo.pop("seed"),
+            "gamma": _fmt(result.best_gamma),
+            "visited_states": result.total_visited_states,
+            "total_evaluations": result.total_evaluations,
+            "generations_run": result.history[-1].k,
+            **echo,
+            "elapsed_seconds_total": f"{result.history[-1].elapsed_seconds:.6f}",
+            "cache_hit_rate": f"{1 - result.total_visited_states / result.total_evaluations:.6f}",
+            "peak_rss_mb": f"{_peak_rss_mb():.1f}",
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
+        _write_result(out / f"{run_id}.result.txt", meta, result.best_code)
+        print(
+            f"{run_id}: best gamma {result.best_gamma:.4f} after "
+            f"{result.history[-1].k} generations, "
+            f"{result.total_visited_states} visited states"
+        )
+        results.append(result)
+    return results
 
 
 def _out_dir(args) -> Path:
@@ -255,11 +260,7 @@ def _out_dir(args) -> Path:
 
 def cmd_search(args) -> int:
     config = _build_ga_config(args)
-    ga.check_stop_gamma(args.stop_gamma)
-    out = _out_dir(args)
-    run_id = args.run_id or f"search_N{config.N}_seed{config.seed}"
-    _run_and_write(config, run_id, out, args.stop_gamma,
-                   _progress(run_id) if args.verbose else None)
+    _run_all(args, [(args.run_id or f"search_N{config.N}_seed{config.seed}", config)])
     return 0
 
 
@@ -297,32 +298,19 @@ def cmd_sweep(args) -> int:
     # Every length's config is built, and so checked, before the first run starts.
     configs = [_build_ga_config(args, N=n, seed=derive_sweep_seed(base_seed, n))
                for n in range(args.lo, args.hi + 1)]
-    ga.check_stop_gamma(args.stop_gamma)
-    out = _out_dir(args)
-    rows = []
-    for config in configs:
-        run_id = f"search_N{config.N}_seed{config.seed}"
-        result = _run_and_write(config, run_id, out, args.stop_gamma,
-                                _progress(run_id) if args.verbose else None)
-        rows.append((config.N, _fmt(result.best_gamma), result.total_visited_states))
-    with _atomic_open(out / "sweep.csv") as fh:
+    results = _run_all(args, [(f"search_N{c.N}_seed{c.seed}", c) for c in configs])
+    path = Path(args.out) / "sweep.csv"
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", "best_gamma", "visited_states"])
-        writer.writerows(rows)
-    print(f"sweep complete: {len(rows)} rows -> {out / 'sweep.csv'}")
+        writer.writerows((c.N, _fmt(r.best_gamma), r.total_visited_states)
+                         for c, r in zip(configs, results))
+    print(f"sweep complete: {len(results)} rows -> {path}")
     return 0
 
 
 def cmd_study(args) -> int:
     name = _STUDY_ALIASES.get(args.variable, args.variable)
-    if name not in _SCALAR_FIELDS:
-        raise ValueError(
-            f"unknown study variable {args.variable!r}; pick "
-            f"{', '.join(_STUDY_ALIASES)} or a GaConfig field "
-            f"({', '.join(_SCALAR_FIELDS)})"
-        )
-    if not args.values:
-        raise ValueError("study needs at least one value (--values)")
     # Every value's config is built, and so checked, before the first run starts.
     configs = [_build_ga_config(args, **{name: _parse_field(name, value)})
                for value in args.values]
@@ -330,11 +318,8 @@ def cmd_study(args) -> int:
         if config in configs[:i]:  # values that parse equal, such as 0.3 and 0.30
             raise ValueError(f"study value {args.values[i]!r} repeats "
                              f"{name} = {getattr(config, name)!r}")
-    ga.check_stop_gamma(args.stop_gamma)
-    out = _out_dir(args)
-    for value, config in zip(args.values, configs):
-        run_id = f"study_{args.variable}_{value}_seed{config.seed}"
-        _run_and_write(config, run_id, out, args.stop_gamma)
+    _run_all(args, [(f"study_{args.variable}_{value}_seed{config.seed}", config)
+                    for value, config in zip(args.values, configs)])
     return 0
 
 
@@ -431,9 +416,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="run the genetic search")
     _add_ga_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--stop-gamma", type=float, default=None,
-                   help="stop early once best gamma reaches this value")
     p.add_argument("--run-id", default=None)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_search)
@@ -445,21 +427,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="search across a range of code lengths")
     _add_ga_flags(p)
-    _add_common_flags(p)
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
-    p.add_argument("--stop-gamma", type=float, default=None)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("study", help="hyperparameter study with shared seeds")
     _add_ga_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--variable", required=True,
+    p.add_argument("--variable", required=True, choices=[*_STUDY_ALIASES, *_SCALAR_FIELDS],
                    help="tournament_M (alias of M), elite_E (alias of E), "
                         "or any GaConfig field")
-    p.add_argument("--values", nargs="*", default=[])
-    p.add_argument("--stop-gamma", type=float, default=None)
+    p.add_argument("--values", nargs="+", required=True)
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("bruteforce", help="exact optimum by exhaustive enumeration")

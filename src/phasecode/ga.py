@@ -200,6 +200,9 @@ def elite_select(pop: Population, E: int) -> np.ndarray:
     return pop.codes[order[:E]]
 
 
+_PERMUTE_ELEMENTS = 1 << 20  # 8 MB of int64 indices per permuted block
+
+
 def _draw_tournament_indices(
     rng: np.random.Generator, P: int, M: int, count: int
 ) -> np.ndarray:
@@ -208,7 +211,8 @@ def _draw_tournament_indices(
     Rejection resampling when collisions are rare (M^2 <= P), otherwise the
     first M entries of per-row random permutations; both give the uniform
     distinct-draw law. A row without a collision never changes, so each
-    re-draw pass checks only the rows it re-drew.
+    re-draw pass checks only the rows it re-drew. Permutations are drawn in
+    row blocks, which draws what one (count, P) ``permuted`` call would.
     """
     if M * M <= P:
         idx = rng.integers(0, P, size=(count, M))
@@ -219,8 +223,14 @@ def _draw_tournament_indices(
             if bad.size == 0:
                 return idx
             idx[bad] = rng.integers(0, P, size=(bad.size, M))
-    base = np.tile(np.arange(P), (count, 1))
-    return rng.permuted(base, axis=1)[:, :M]
+    order = np.arange(P)
+    rows = max(1, _PERMUTE_ELEMENTS // P)
+    idx = np.empty((count, M), order.dtype)
+    for lo in range(0, count, rows):
+        block = np.tile(order, (min(rows, count - lo), 1))
+        rng.permuted(block, axis=1, out=block)
+        idx[lo : lo + rows] = block[:, :M]
+    return idx
 
 
 def tournament_indices(
@@ -345,9 +355,11 @@ def _population_stats(pop: Population, visited: int, t0: float) -> GenerationSta
 
 
 def check_stop_gamma(stop_gamma: float | None) -> None:
-    """Reject a non-finite ``stop_gamma``: no score reaches NaN, and none reaches +inf."""
-    if stop_gamma is not None and not math.isfinite(stop_gamma):
-        raise ValueError(f"stop_gamma must be finite, got {stop_gamma}")
+    """Reject a ``stop_gamma`` that is not finite and > 0: no score reaches NaN
+    or +inf, and every defined score is > 0, so a target <= 0 would end every
+    run at generation 0."""
+    if stop_gamma is not None and not 0 < stop_gamma < math.inf:
+        raise ValueError(f"stop_gamma must be finite and > 0, got {stop_gamma}")
 
 
 def run(
@@ -359,7 +371,7 @@ def run(
 
     ``stop_gamma`` ends the run early once the best score reaches it (the
     recorded history is still complete up to that generation); it must be
-    finite (``check_stop_gamma``). Deterministic for a fixed config: all
+    finite and > 0 (``check_stop_gamma``). Deterministic for a fixed config: all
     stochastic operators share one seeded stream.
     """
     check_stop_gamma(stop_gamma)

@@ -6,8 +6,9 @@ checked against; ``random_code`` and ``cross_correlation`` are the
 single-code forms of ``random_codes`` and of ``x @ shifted(s, i)``;
 ``packed_key`` spells out the ``codes.unique_rows`` key bit by bit. The
 ``*_formula`` functions are the plain forms of GA operators that the
-package computes a faster way: a full stable sort, re-checking every
-tournament on each re-draw pass, and a ``np.where`` crossover.
+package computes a faster way or in less memory: a full stable sort,
+re-checking every tournament on each re-draw pass, all of a draw's
+permutations in one array, and a ``np.where`` crossover.
 """
 
 from __future__ import annotations
@@ -85,6 +86,13 @@ def draw_tournament_indices_formula(
         if bad.size == 0:
             return idx
         idx[bad] = rng.integers(0, P, size=(bad.size, M))
+
+
+def draw_tournament_permutations_formula(
+    rng: np.random.Generator, P: int, M: int, count: int
+) -> np.ndarray:
+    """The first M entries of ``count`` row permutations of [0, P), drawn in one call."""
+    return rng.permuted(np.tile(np.arange(P), (count, 1)), axis=1)[:, :M]
 
 
 def crossover_formula(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,6 +3,7 @@
 import csv
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -301,6 +302,17 @@ class TestSweepCommand:
         assert [int(r[0]) for r in rows[1:]] == [10, 11, 12, 13]
         assert all(float(r[1]) > 0 for r in rows[1:])
 
+    def test_verbose_prints_each_runs_own_progress_in_order(self, tmp_path, capsys):
+        args = ["--N_G", "2", "--P", "60", "--E", "12", "--seed", "1", "--verbose"]
+        assert main(["sweep", "10", "11", *args, "--out", str(tmp_path)]) == 0
+        want = []
+        for n in (10, 11):
+            run_id = f"search_N{n}_seed{derive_sweep_seed(1, n)}"
+            for row in read_csv(tmp_path / f"{run_id}.log.csv")[1:]:
+                k, best, visited = row[2], float(row[3]), row[6]
+                want.append(f"[{run_id}] k={k} best={best:.4f} visited={visited}")
+        assert capsys.readouterr().err.splitlines() == want
+
     def test_invalid_range_rejected(self, tmp_path):
         assert main(["sweep", "12", "10", "--out", str(tmp_path)]) == 1
         assert main(["sweep", "2", "999", "--out", str(tmp_path)]) == 1
@@ -309,10 +321,11 @@ class TestSweepCommand:
 class TestStudyCommand:
     ARGS = ["--N", "12", "--N_G", "3", "--P", "80", "--E", "16", "--seed", "2"]
 
-    def test_tournament_size_study(self, tmp_path):
+    def test_tournament_size_study(self, tmp_path, capsys):
         out = tmp_path / "study"
         assert main(["study", "--variable", "tournament_M",
                      "--values", "2", "5", "20", *self.ARGS, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""  # a study prints no progress lines
         for m in (2, 5, 20):
             rows = read_csv(out / f"study_tournament_M_{m}_seed2.plot.csv")
             assert rows[0] == ["generation", "visited_states", "best_gamma"]
@@ -347,9 +360,13 @@ class TestStudyCommand:
         result = (out / "study_p_conv_0.7_seed2.result.txt").read_text()
         assert "p_conv = 0.7" in result.splitlines()
 
-    def test_unknown_variable_rejected(self, tmp_path):
+    def test_unknown_variable_rejected(self, tmp_path, capsys):
         assert main(["study", "--variable", "wing_area",
                      "--values", "1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --variable: invalid choice: ")
+        for name in ("wing_area", "tournament_M", "elite_E", *(f.name for f in fields(GaConfig))):
+            assert name in err, name
 
     def test_negative_seed_rejected_before_the_first_run(self, tmp_path, capsys):
         out = tmp_path / "study"
@@ -452,6 +469,17 @@ class TestCliPlumbing:
             ["sweep", "10", "11", "--N_G", "2", "--P", "60", "--E", "12", "--stop-gamma", "inf"],
             ["study", "--variable", "M", "--values", "3", "5", "--N", "12", "--N_G", "2",
              "--P", "60", "--E", "12", "--stop-gamma", "nan"],
+            # Every defined gamma is > 0, so a target <= 0 is rejected; argparse
+            # reads a bare -1e3 as an option, so that form fails one step earlier.
+            ["search", "--N", "12", "--N_G", "2", "--P", "60", "--E", "12", "--stop-gamma=-1e3"],
+            ["search", "--N", "12", "--N_G", "2", "--P", "60", "--E", "12",
+             "--stop-gamma", "-1e3"],
+            ["sweep", "10", "11", "--N_G", "2", "--P", "60", "--E", "12", "--stop-gamma", "0"],
+            ["study", "--variable", "M", "--values", "3", "5", "--N", "12", "--N_G", "2",
+             "--P", "60", "--E", "12", "--stop-gamma", "0"],
+            ["study", "--variable", "wing_area", "--values", "1"],
+            ["study", "--variable", "M", "--values"],
+            ["study", "--variable", "M"],
         ],
     )
     def test_rejected_command_writes_nothing(self, tmp_path, capsys, argv):
@@ -459,6 +487,15 @@ class TestCliPlumbing:
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["search", "sweep", "study"])
+    def test_help_lists_the_shared_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        shared = {"--config", "--out", "--stop-gamma", *(f"--{f.name}" for f in fields(GaConfig))}
+        assert shared <= listed, shared - listed
 
     def test_unknown_subcommand_is_exit_one(self, capsys):
         assert main(["transmogrify"]) == 1

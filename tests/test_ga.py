@@ -32,6 +32,7 @@ from phasecode.ga import (
 from reference import (
     crossover_formula,
     draw_tournament_indices_formula,
+    draw_tournament_permutations_formula,
     elite_select_formula,
     packed_key,
     random_code,
@@ -228,6 +229,18 @@ class TestTournamentSelect:
         assert np.array_equal(idx, draw_tournament_indices_formula(ref, 30, 5, 2000))
         assert rng.bit_generator.state == ref.bit_generator.state
         assert all(len(set(row)) == 5 for row in idx.tolist())
+
+    @pytest.mark.parametrize("rows", [1, 218, 1000])
+    def test_blocked_permutations_match_one_shot_formula(self, monkeypatch, rows):
+        # M^2 > P with P=300, M=40 takes the permutation path, here drawn in
+        # blocks of `rows` rows (1000 is one block). The indices and the
+        # generator state afterwards must both match one (1000, 300) draw.
+        monkeypatch.setattr(ga, "_PERMUTE_ELEMENTS", rows * 300)
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        idx = ga._draw_tournament_indices(rng, 300, 40, 1000)
+        assert np.array_equal(idx, draw_tournament_permutations_formula(ref, 300, 40, 1000))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert all(len(set(row)) == 40 for row in idx.tolist())
 
 
 class TestWinProbability:
@@ -637,6 +650,11 @@ class TestRun:
         stopped = run(cfg, stop_gamma=target)
         assert stopped.best_gamma >= target
         assert stopped.history[-1].k <= 6
+
+    @pytest.mark.parametrize("stop_gamma", [0.0, -1e3, math.nan, math.inf])
+    def test_stop_gamma_must_be_finite_and_positive(self, stop_gamma):
+        with pytest.raises(ValueError, match="^stop_gamma must be finite"):
+            run(small_config(), stop_gamma=stop_gamma)
 
     @pytest.mark.parametrize("stop", ["none", "mid_run", "generation_0"])
     def test_on_generation_receives_the_history_rows(self, stop):
