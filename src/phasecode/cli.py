@@ -27,7 +27,7 @@ import numpy as np
 
 from . import baselines, echo, ga
 from .codes import format_code, parse_code, shifted
-from .fitness import fitness, matched_filter_scr, optimal_filter, scr
+from .fitness import fitness, matched_filter_scr, optimal_filter, scoring_cpus, scr
 from .ga import GaConfig, GenerationStats, RunResult
 
 RUN_LOG_HEADER = [
@@ -81,9 +81,13 @@ def _parse_field(name: str, text: str):
         raise ValueError(f"{name} must be {kind.__name__}, got {text!r}") from None
 
 
-def _load_config_file(path: str) -> dict:
-    """Flat key=value config text; '#' starts a comment."""
+def _load_config_file(path: str) -> tuple[dict, dict]:
+    """Flat key=value config text; '#' starts a comment.
+
+    Returns each key's value and the number of the line that set it.
+    """
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,17 +103,29 @@ def _load_config_file(path: str) -> dict:
             values[key] = _parse_field(key, val)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return values
+        lines[key] = lineno
+    return values, lines
 
 
 def _build_ga_config(args, **overrides) -> GaConfig:
-    """GaConfig from defaults, then --config, then flags, then ``overrides``."""
-    values = _load_config_file(args.config) if args.config else {}
-    for name in _SCALAR_FIELDS:
-        if getattr(args, name) is not None:
-            values[name] = getattr(args, name)
-    values.update(overrides)
-    return GaConfig(**values)
+    """GaConfig from defaults, then --config, then flags, then ``overrides``.
+
+    A rejected config names the --config line of the first field its failed
+    check reads that took its value from the file.
+    """
+    values, lines = _load_config_file(args.config) if args.config else ({}, {})
+    flags = {name: getattr(args, name) for name in _SCALAR_FIELDS
+             if getattr(args, name) is not None}
+    for name in [*flags, *overrides]:
+        lines.pop(name, None)
+    values.update(flags, **overrides)
+    try:
+        return GaConfig(**values)
+    except ga.ConfigError as exc:
+        from_file = [lines[name] for name in exc.fields if name in lines]
+        if not from_file:
+            raise
+        raise ValueError(f"{args.config}:{from_file[0]}: {exc}") from None
 
 
 def _add_ga_flags(parser) -> None:
@@ -238,6 +254,7 @@ def _run_all(args, runs: list[tuple[str, GaConfig]]) -> list[RunResult]:
             "elapsed_seconds_total": f"{result.history[-1].elapsed_seconds:.6f}",
             "cache_hit_rate": f"{1 - result.total_visited_states / result.total_evaluations:.6f}",
             "peak_rss_mb": f"{_peak_rss_mb():.1f}",
+            "cpus": scoring_cpus(),
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -64,17 +64,19 @@ def _key_words(codes: np.ndarray) -> np.ndarray:
 def unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of a (B, N) code matrix, in ascending key order.
 
-    Returns ``keys`` (each distinct row's 8 W ``_key_words`` bytes as one
-    void, ascending and distinct; ``tolist`` gives the bytes), ``first``
-    (the index of each distinct row's first occurrence) and ``inverse`` (the
-    distinct-row number of every row), so ``codes[first][inverse]`` equals
-    ``codes``.
+    Returns ``keys`` (each distinct row's key, ascending and distinct),
+    ``first`` (the index of each distinct row's first occurrence) and
+    ``inverse`` (the distinct-row number of every row), so
+    ``codes[first][inverse]`` equals ``codes``. A one-word key (N <= 63) is
+    its ``_key_words`` word as a native ``uint64``, which numpy sorts and
+    searches as a plain integer; a wider key is its 8 W ``_key_words`` bytes
+    as one void (``tolist`` gives the bytes). Both order keys as bit strings.
 
     One sort of the key words groups equal rows and orders the groups as
     bit strings, which is the byte order numpy uses to sort and search
-    voids. A one-word key (N <= 63) takes numpy's SIMD ``argsort``, which
-    is not stable; wider keys take ``np.lexsort``. Either way each group's
-    first occurrence is its least index, found with ``np.minimum.reduceat``.
+    voids. A one-word key takes numpy's SIMD ``argsort``, which is not
+    stable; wider keys take ``np.lexsort``. Either way each group's first
+    occurrence is its least index, found with ``np.minimum.reduceat``.
     """
     words = _key_words(codes)
     native = words.astype(np.uint64)
@@ -88,6 +90,8 @@ def unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(starts) - 1
     first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    if native.shape[1] == 1:
+        return native[first, 0], first, inverse
     return words[first].view(f"V{words.shape[1] * 8}")[:, 0], first, inverse
 
 

@@ -22,6 +22,14 @@ from .codes import CODE_DTYPE, PhaseCode, random_codes, unique_rows
 from .fitness import fitness_batch
 
 
+class ConfigError(ValueError):
+    """A ``GaConfig`` that fails a check; ``fields`` names the fields the check reads."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class GaConfig:
     """Search hyperparameters; field names follow the usual GA vocabulary.
@@ -53,29 +61,29 @@ class GaConfig:
 
     def __post_init__(self) -> None:
         if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
+            raise ConfigError(f"N must be >= 2, got {self.N}", "N")
         if self.N_G < 1:
-            raise ValueError(f"N_G must be >= 1, got {self.N_G}")
+            raise ConfigError(f"N_G must be >= 1, got {self.N_G}", "N_G")
         if not 0 < self.E < self.P:
-            raise ValueError(f"need 0 < E < P, got E={self.E}, P={self.P}")
+            raise ConfigError(f"need 0 < E < P, got E={self.E}, P={self.P}", "E", "P")
         if not 2 <= self.M <= self.P:
-            raise ValueError(f"need 2 <= M <= P, got M={self.M}, P={self.P}")
+            raise ConfigError(f"need 2 <= M <= P, got M={self.M}, P={self.P}", "M", "P")
         if not 0.0 <= self.p_muta <= 1.0:
-            raise ValueError(f"p_muta must be in [0, 1], got {self.p_muta}")
+            raise ConfigError(f"p_muta must be in [0, 1], got {self.p_muta}", "p_muta")
         if not 0.0 <= self.p_conv <= 1.0:
-            raise ValueError(f"p_conv must be in [0, 1], got {self.p_conv}")
+            raise ConfigError(f"p_conv must be in [0, 1], got {self.p_conv}", "p_conv")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}", "seed")
         if self.init not in ("random", "known"):
-            raise ValueError(f"init must be random or known, got {self.init!r}")
+            raise ConfigError(f"init must be random or known, got {self.init!r}", "init")
         seeds = _init_codes(self)
         if seeds.shape[1] != self.N:
-            raise ValueError(
+            raise ConfigError(
                 f"init = {self.init} seeds length-{seeds.shape[1]} codes, "
-                f"so it needs N = {seeds.shape[1]}, got N = {self.N}"
+                f"so it needs N = {seeds.shape[1]}, got N = {self.N}", "init", "N"
             )
         if len(seeds) > self.P:
-            raise ValueError("more seed codes than population slots")
+            raise ConfigError("more seed codes than population slots", "init", "P")
 
 
 def _init_codes(config: GaConfig) -> np.ndarray:
@@ -139,7 +147,7 @@ class ScoreCache:
     """Every distinct code scored so far, as two parallel arrays.
 
     ``keys`` holds the ``codes.unique_rows`` keys in ascending order, all of
-    one width (codes whose lengths share N // 64), and ``gammas`` the
+    one dtype (codes whose lengths share N // 64), and ``gammas`` the
     matching gammas, NaN where undefined. So ``len(cache)`` is the number
     of distinct codes ever scored: the "visited states" (a code and its
     negation are two).
@@ -164,7 +172,7 @@ def score_codes(codes: np.ndarray, cache: ScoreCache) -> tuple[np.ndarray, int]:
     """
     keys, first, inverse = unique_rows(codes)
     if not len(cache):
-        cache.keys = keys[:0]  # an empty cache takes its key width from its first codes
+        cache.keys = keys[:0]  # an empty cache takes its key dtype from its first codes
     if cache.keys.dtype != keys.dtype:
         raise ValueError(f"score cache holds {cache.keys.dtype} keys, got {keys.dtype}")
     pos = np.searchsorted(cache.keys, keys)

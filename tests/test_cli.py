@@ -83,6 +83,9 @@ class TestSearchCommand:
         assert float(meta["cache_hit_rate"]) == pytest.approx(1 - visited / total, abs=1e-6)
         # ru_maxrss is in KiB on Linux: a reading in bytes would be 1024x too large.
         assert 1.0 < float(meta["peak_rss_mb"]) < 4096.0
+        # The CPUs the run may use, which is also its scoring worker count.
+        cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+        assert int(meta["cpus"]) == cpus
 
     def test_failed_rewrite_keeps_old_artifacts(self, tmp_path, monkeypatch):
         args = ["search", *SMALL, "--seed", "3", "--out", str(tmp_path)]
@@ -176,11 +179,32 @@ class TestSearchCommand:
     def test_unknown_init_is_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "ga.conf"
         cfg.write_text("init = bogus\n")
-        for argv in (["--init", "bogus"], ["--config", str(cfg)]):
+        for argv, where in ((["--init", "bogus"], ""), (["--config", str(cfg)], f"{cfg}:1: ")):
             assert main(["search", *SMALL, *argv, "--out", str(tmp_path / "runs")]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: init must be random or known, got 'bogus'"), argv
+            assert err.startswith(f"error: {where}init must be random or known, got 'bogus'"), argv
             assert "Traceback" not in err
+            assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("p_muta = 1.5", "p_muta must be in [0, 1], got 1.5"),
+        ("E = 500", "need 0 < E < P, got E=500, P=120"),
+        ("N_G = 2.5", "N_G must be int, got '2.5'"),
+    ])
+    def test_bad_config_value_names_file_and_line(self, tmp_path, capsys, line, message):
+        # A range error, one that spans two keys and a type error all name
+        # the file and the line that set the rejected value.
+        cfg = tmp_path / "ga.conf"
+        cfg.write_text(f"# small\nN = 16\nP = 120\nE = 24\n{line}\n")
+        out = tmp_path / "runs"
+        assert main(["search", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:5: {message}\n"
+        assert not out.exists()
+
+    def test_flag_over_a_bad_config_value_runs(self, tmp_path):
+        cfg = tmp_path / "ga.conf"
+        cfg.write_text("N = 16\nN_G = 1\nP = 120\nE = 500\n")
+        assert main(["search", "--config", str(cfg), "--E", "24", "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_stop_gamma_is_exit_one(self, tmp_path, capsys, bad):
@@ -507,7 +531,9 @@ class TestCliPlumbing:
         assert main(["search", "--N", "1", "--out", str(tmp_path)]) == 1
 
     def test_search_and_bruteforce_run_without_scipy(self, tmp_path):
-        # A fresh interpreter, so no other test's imports count.
+        # A fresh interpreter, so no other test's imports count. Runs this
+        # small score in-process, so the scoring pool's modules stay unloaded
+        # too: only the first large batch imports them.
         script = (
             "import sys\n"
             "from phasecode.cli import main\n"
@@ -515,7 +541,8 @@ class TestCliPlumbing:
             "assert main(['search', '--N', '12', '--N_G', '2', '--P', '60', '--E', '12',"
             " '--M', '3', '--seed', '1', '--out', out]) == 0\n"
             "assert main(['bruteforce', '8', '--out', out]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))\n"
         )
         src = str(Path(phasecode.__file__).resolve().parents[1])
         env = dict(os.environ)

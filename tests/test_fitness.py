@@ -7,6 +7,12 @@ matched-filter value is cross-checked against the autocorrelation formula.
 """
 
 import importlib
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import phasecode
 from phasecode import ga
+from phasecode.cli import main
 from phasecode.codes import as_code, shifted
 from phasecode.fitness import (
     build_clutter_matrix,
@@ -289,6 +297,8 @@ class TestFitnessBatch:
             calls.append(np.array(s))
             return fitness(s)
 
+        # One chunk, so it is scored in this process, where the patches apply;
+        # forked pool workers would not see them.
         monkeypatch.setattr(fitness_module, "_MIN_ONE_MINUS_Q", threshold)
         monkeypatch.setattr(fitness_module, "fitness", recording_fitness)
         patched = fitness_batch(codes)
@@ -336,12 +346,113 @@ class TestFitnessBatch:
             chunks.append(chunk.copy())
             return np.zeros(len(chunk))
 
+        # At most 3 chunks, below the pool's threshold of 2 per CPU on two or
+        # more CPUs, so they are scored in this process, where the patch
+        # applies (the local function could not even be sent to a worker).
         monkeypatch.setattr(fitness_module, "_fitness_chunk", recording_chunk)
         fitness_batch(codes)
         assert len(chunks) == -(-b * n // 2**16)
         rows = [len(c) for c in chunks]
         assert max(rows) - min(rows) <= 1
         assert np.array_equal(np.concatenate(chunks), codes)
+
+
+def _killing_chunk(chunk):
+    """A ``_fitness_chunk`` stand-in that kills the pool worker running it."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _pool_batch(n, chunks, seed):
+    """Random (B, n) codes that ``fitness_batch`` splits into exactly ``chunks`` chunks."""
+    b = chunks * fitness_module._CHUNK_SYMBOLS // n
+    return (2 * np.random.default_rng(seed).integers(0, 2, size=(b, n)) - 1).astype(np.int8)
+
+
+def _alive(pid):
+    """Whether ``pid`` names a running process (a zombie has already exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in "ZX"
+
+
+CPUS = fitness_module.scoring_cpus()
+THRESHOLD = fitness_module._POOL_CHUNKS_PER_CPU * CPUS
+needs_pool = pytest.mark.skipif(
+    CPUS < 2, reason="one CPU, or no fork outside Linux: every batch is scored in-process")
+
+
+@pytest.fixture
+def fresh_pool():
+    """No pool before the test, and none left after it (with any patch it forked)."""
+    fitness_module._shutdown_pool()
+    yield
+    fitness_module._shutdown_pool()
+
+
+class TestWorkerPool:
+    """Batches of at least 2 chunks per CPU are scored on forked workers."""
+
+    @needs_pool
+    @pytest.mark.parametrize("n", [59, 100])
+    def test_pool_batch_matches_chunks_in_process(self, fresh_pool, n):
+        codes = _pool_batch(n, THRESHOLD, seed=110)
+        got = fitness_batch(codes)
+        assert fitness_module._pool is not None  # the batch went to the pool
+        want = [fitness_module._fitness_chunk(c) for c in np.array_split(codes, THRESHOLD)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+    @needs_pool
+    def test_batch_below_threshold_stays_in_process(self, fresh_pool):
+        fitness_batch(_pool_batch(59, THRESHOLD - 1, seed=111))
+        assert fitness_module._pool is None
+
+    @needs_pool
+    def test_workers_ignore_sigint(self, fresh_pool):
+        pool = fitness_module._worker_pool(CPUS)
+        assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
+
+    @needs_pool
+    def test_killed_worker_raises_and_the_next_batch_gets_a_new_pool(
+        self, fresh_pool, monkeypatch, tmp_path, capsys
+    ):
+        # The pool is forked after the patch, so its workers run the stand-in.
+        monkeypatch.setattr(fitness_module, "_fitness_chunk", _killing_chunk)
+        codes = _pool_batch(59, THRESHOLD, seed=112)
+        with pytest.raises(BrokenProcessPool):
+            fitness_batch(codes)
+        assert fitness_module._pool is None
+        # BrokenProcessPool is a RuntimeError, which the CLI reports with exit code 3.
+        argv = ["search", "--N", "59", "--N_G", "1", "--P", str(len(codes)),
+                "--E", "20", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("internal error: ")
+        monkeypatch.undo()
+        want = [fitness_module._fitness_chunk(c) for c in np.array_split(codes, THRESHOLD)]
+        assert fitness_batch(codes).tobytes() == np.concatenate(want).tobytes()
+
+    @needs_pool
+    def test_search_exits_with_no_worker_alive(self, tmp_path):
+        # Generation 0 scores P random codes, at least 2 chunks per CPU.
+        P = THRESHOLD * fitness_module._CHUNK_SYMBOLS // 59
+        script = (
+            "import multiprocessing\n"
+            "from phasecode.cli import main\n"
+            f"assert main(['search', '--N', '59', '--N_G', '1', '--P', '{P}', '--E', '20',"
+            f" '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(*(p.pid for p in multiprocessing.active_children()))\n"
+        )
+        src = str(Path(phasecode.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""  # nothing printed at exit
+        pids = [int(pid) for pid in proc.stdout.splitlines()[-1].split()]
+        assert len(pids) == CPUS
+        assert not [pid for pid in pids if _alive(pid)]
 
 
 class TestFitnessCache:
