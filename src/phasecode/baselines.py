@@ -16,11 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import PhaseCode, format_code, parse_code, random_codes
-from .fitness import fitness, fitness_batch
+from .fitness import fitness, fitness_batch, pool_map
 from .ga import GenerationStats, RunResult, ScoreCache, score_codes
 
-# Hard cap for exhaustive enumeration.
-_BRUTE_FORCE_MAX_N = 20
+# Hard cap for exhaustive enumeration: N = 28 takes under a minute on two CPUs.
+_BRUTE_FORCE_MAX_N = 28
+
+# Indices per enumeration block, the unit ``pool_map`` hands a worker: 16
+# blocks at N = 20, so the pool takes brute force from N = 18 on two CPUs.
+# A block holds at most 2^14 orbit minima, 7 scoring chunks at N = 28.
+_BRUTE_FORCE_BLOCK = 1 << 14
 
 # Bit reversal of each byte value, for the reversed image in ``_orbit_images``.
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
@@ -211,6 +216,26 @@ def _index_codes(N: int, ks: np.ndarray) -> np.ndarray:
     return (2 * ((ks[:, None] >> np.arange(N - 1, -1, -1)) & 1) - 1).astype(np.int8)
 
 
+def _orbit_block(N: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Score the orbit minima among indices lo..hi-1 and keep the near-ties.
+
+    Returns the kept indices, their gammas and the block's best gamma
+    (-inf when no gamma is defined). A code is kept when its gamma is within
+    ``_TIE_RTOL`` of the block's best, which is no larger than the overall
+    best, so every overall near-tie in the block is kept.
+    """
+    ks = np.arange(lo, hi, dtype=np.int64)
+    # Pairwise minima: ``np.minimum.reduce`` stacks the 8 images first, 3x slower.
+    ks = ks[ks <= functools.reduce(np.minimum, _orbit_images(N, ks))]
+    # ``fitness_batch`` is looked up here at call time, so it can be wrapped.
+    gammas = fitness_batch(_index_codes(N, ks))
+    gammas = np.where(np.isfinite(gammas), gammas, float("-inf"))
+    best = float(gammas.max(initial=float("-inf")))
+    # Every defined gamma is > 0, so this keeps the near-ties of the best.
+    near = gammas >= best * (1 - _TIE_RTOL)
+    return ks[near], gammas[near], best
+
+
 def brute_force_best(N: int) -> tuple[PhaseCode, float]:
     """Exact argmax of fitness over all bipolar codes of length N.
 
@@ -222,6 +247,10 @@ def brute_force_best(N: int) -> tuple[PhaseCode, float]:
     as tied and its whole orbit is scored: the returned gamma is the best
     over those candidates, which is the best over all 2^N codes, and the
     returned code is the smallest candidate.
+
+    The indices are enumerated in blocks of ``_BRUTE_FORCE_BLOCK`` through
+    ``pool_map``, so enough blocks run on the worker pool; the blocks are
+    joined in index order, so the result does not depend on where they ran.
     """
     if not 2 <= N <= _BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force supports 2 <= N <= {_BRUTE_FORCE_MAX_N}, got {N}")
@@ -229,22 +258,12 @@ def brute_force_best(N: int) -> tuple[PhaseCode, float]:
     # 0, can set symbol 1 to -1: every orbit minimum has its top two bits
     # clear, so only the indices below 2^(N-2) are enumerated.
     total = 1 << (N - 2)
-    chunk = 8192
-    best_gamma = float("-inf")
-    near_ks: list[np.ndarray] = []
-    near_gammas: list[np.ndarray] = []
-    for lo in range(0, total, chunk):
-        ks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        # Pairwise minima: ``np.minimum.reduce`` stacks the 8 images first, 3x slower.
-        ks = ks[ks <= functools.reduce(np.minimum, _orbit_images(N, ks))]
-        gammas = fitness_batch(_index_codes(N, ks))
-        gammas = np.where(np.isfinite(gammas), gammas, float("-inf"))
-        best_gamma = float(gammas.max(initial=best_gamma))
-        # Every defined gamma is > 0, so this keeps the near-ties of the best.
-        near = gammas >= best_gamma * (1 - _TIE_RTOL)
-        near_ks.append(ks[near])
-        near_gammas.append(gammas[near])
+    los = range(0, total, _BRUTE_FORCE_BLOCK)
+    blocks = pool_map(functools.partial(_orbit_block, N), los, [*los[1:], total])
+    near_ks, near_gammas, bests = zip(*blocks)
+    best_gamma = max(bests)
     tied = np.concatenate(near_ks)[np.concatenate(near_gammas) >= best_gamma * (1 - _TIE_RTOL)]
     # Ascending distinct indices, so the first candidate is the smallest code.
-    candidates = _index_codes(N, np.unique(_orbit_images(N, tied)))
+    images = np.sort(np.concatenate(_orbit_images(N, tied)))
+    candidates = _index_codes(N, images[np.insert(images[1:] != images[:-1], 0, True)])
     return candidates[0], float(fitness_batch(candidates).max())

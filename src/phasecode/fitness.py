@@ -47,12 +47,13 @@ from .codes import PhaseCode, autocorrelation, shifted
 # gamma does not depend on its chunk.
 _CHUNK_SYMBOLS = 1 << 16
 
-# A batch of at least this many chunks per CPU is scored on the worker pool
-# (``_worker_pool``). On a 2-vCPU VM a pool ``map`` costs about 2 ms, and a
-# 2-chunk brute-force block at N = 20 took 11.5 ms on the pool against 8.2 ms
-# in-process, so small batches stay in-process.
+# ``pool_map`` runs on the worker pool (``_worker_pool``) only with at least
+# this many items per CPU. On a 2-vCPU VM a pool ``map`` costs about 2 ms,
+# and a 2-chunk batch at N = 20 took 11.5 ms on the pool against 8.2 ms
+# in-process, so small maps stay in-process.
 _POOL_CHUNKS_PER_CPU = 2
 _pool = None  # made by ``_worker_pool`` on first use
+_in_worker = False  # set in each pool worker, which never uses a pool itself
 
 # Batch rows with 1 - q <= this (q = s^T T^{-1} s) go to the Cholesky
 # ``fitness``. 1 - q = 1 / (1 + gamma), so the subtraction loses about
@@ -192,17 +193,26 @@ def scoring_cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _ignore_sigint() -> None:
+def _init_worker() -> None:
+    """Pool worker initializer: ignore SIGINT, and never use a pool.
+
+    A forked worker inherits ``_pool``, a copy of the parent's executor
+    whose work queue it cannot serve, so a large map made in a worker would
+    hang; ``pool_map`` runs every map in-process there.
+    """
     import signal
 
+    global _pool, _in_worker
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _pool = None
+    _in_worker = True
 
 
 def _worker_pool(workers: int):
-    """The process pool that scores large batches, made on first use.
+    """The process pool that ``pool_map`` uses, made on first use.
 
     Its workers are forked, which takes milliseconds where a spawned worker
-    re-imports numpy, so they see the module as it was when the pool was
+    re-imports numpy, so they see the program as it was when the pool was
     made: a monkeypatch made later does not reach them. They ignore SIGINT,
     which the main process handles, and an ``atexit`` hook shuts them down.
     """
@@ -212,13 +222,13 @@ def _worker_pool(workers: int):
         from concurrent.futures import ProcessPoolExecutor
 
         _pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                    initializer=_ignore_sigint)
+                                    initializer=_init_worker)
         atexit.register(_shutdown_pool)
     return _pool
 
 
 def _shutdown_pool() -> None:
-    """Stop the pool's workers, if there is a pool; the next large batch makes a new one."""
+    """Stop the pool's workers, if there is a pool; the next large map makes a new one."""
     global _pool
     if _pool is not None:
         atexit.unregister(_shutdown_pool)
@@ -226,28 +236,39 @@ def _shutdown_pool() -> None:
         _pool = None
 
 
+def pool_map(fn, *iterables) -> list:
+    """``list(map(fn, *iterables))``, on the worker pool when it pays.
+
+    With at least ``_POOL_CHUNKS_PER_CPU`` calls per CPU, on a machine with
+    more than one and outside a pool worker, the calls run on a pool of
+    forked workers, one per CPU; otherwise in this process. The results come
+    back in call order either way, so for a pure ``fn`` the two give the same
+    bytes. ``fn`` and its arguments must be picklable, and ``fn`` is looked
+    up in the worker as it was when the pool was made.
+    """
+    calls = list(zip(*iterables))
+    cpus = scoring_cpus()
+    if _in_worker or cpus == 1 or len(calls) < _POOL_CHUNKS_PER_CPU * cpus:
+        return [fn(*args) for args in calls]
+    try:
+        return list(_worker_pool(cpus).map(fn, *zip(*calls)))
+    except BaseException:
+        # The pool may be broken (a worker died), and a broken pool stays
+        # broken; the next large map makes a new one.
+        _shutdown_pool()
+        raise
+
+
 def fitness_batch(codes: np.ndarray) -> np.ndarray:
     """Vectorized fitness for a (B, N) code matrix; NaN marks an undefined entry.
 
-    The batch is split into chunks of about ``_CHUNK_SYMBOLS`` symbols. With
-    at least ``_POOL_CHUNKS_PER_CPU`` chunks per CPU on a machine with more
-    than one, the chunks are scored on a pool of forked workers, one per CPU,
-    and joined in chunk order; otherwise in this process. A code's gamma does
-    not depend on its chunk, so both give the same bytes.
+    The batch is split into chunks of about ``_CHUNK_SYMBOLS`` symbols,
+    scored by ``pool_map`` and joined in chunk order. A code's gamma does not
+    depend on its chunk, so the pool and this process give the same bytes.
     """
     codes = np.atleast_2d(codes)
     if codes.shape[0] == 0:
         return np.empty(0)
     b, n = codes.shape
     chunks = np.array_split(codes, -(-b * n // _CHUNK_SYMBOLS))
-    cpus = scoring_cpus()
-    if cpus == 1 or len(chunks) < _POOL_CHUNKS_PER_CPU * cpus:
-        return np.concatenate([_fitness_chunk(chunk) for chunk in chunks])
-    try:
-        return np.concatenate(list(_worker_pool(cpus).map(_fitness_chunk, chunks)))
-    except BaseException:
-        # The pool may be broken (a worker died), and a broken pool stays
-        # broken; the next large batch makes a new one.
-        _shutdown_pool()
-        raise
-
+    return np.concatenate(pool_map(_fitness_chunk, chunks))

@@ -1,5 +1,7 @@
 """Known-code registry, random-search baseline, and the exhaustive oracle."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from reference import random_code, symmetry_orbit
 # the orbit's lexicographic minimum, as the tie rule documents.
 N12_OPTIMAL_GAMMA = 14.317091616882326
 N12_OPTIMAL_CODE = [-1, -1, -1, -1, -1, -1, 1, 1, -1, 1, -1, 1]
+
+fitness_module = importlib.import_module("phasecode.fitness")
 
 
 class TestKnownCodes:
@@ -127,6 +131,23 @@ class TestBruteForce:
         assert gamma == pytest.approx(N12_OPTIMAL_GAMMA, abs=1e-12)
         assert code.tolist() == N12_OPTIMAL_CODE
 
+    def test_n22_regression_pin(self):
+        # Recorded at the ROADMAP re-anchor that measured N = 20..28.
+        code, gamma = brute_force_best(22)
+        assert gamma == 25.436003782367518
+        assert "".join("+" if v > 0 else "-" for v in code) == "--------++++--+--+-+-+"
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_many_small_blocks_match_one_block(self, monkeypatch, block):
+        # Each block keeps the codes within the tie tolerance of its own best,
+        # which is no larger than the overall best, so no near-tie is lost.
+        whole_code, whole_gamma = brute_force_best(12)  # one block of 2^10 indices
+        monkeypatch.setattr(fitness_module, "scoring_cpus", lambda: 1)
+        monkeypatch.setattr(baselines, "_BRUTE_FORCE_BLOCK", block)
+        code, gamma = brute_force_best(12)
+        assert code.tobytes() == whole_code.tobytes()
+        assert np.float64(gamma).tobytes() == np.float64(whole_gamma).tobytes()
+
     def test_matches_full_enumeration_for_small_n(self):
         for n in range(2, 15):
             folded_code, folded_gamma = brute_force_best(n)
@@ -193,4 +214,4 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_best(1)
         with pytest.raises(ValueError):
-            brute_force_best(21)
+            brute_force_best(29)

@@ -435,7 +435,7 @@ class TestBruteforceCommand:
         assert meta["numpy"] == np.__version__
 
     def test_overlarge_length_rejected(self, tmp_path):
-        assert main(["bruteforce", "24", "--out", str(tmp_path)]) == 1
+        assert main(["bruteforce", "29", "--out", str(tmp_path)]) == 1
 
     def test_removed_fold_reversal_flag_is_config_error(self, tmp_path, capsys):
         assert main(["bruteforce", "12", "--out", str(tmp_path), "--fold-reversal"]) == 1

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import phasecode
-from phasecode import ga
+from phasecode import baselines, ga
 from phasecode.cli import main
 from phasecode.codes import as_code, shifted
 from phasecode.fitness import (
@@ -357,9 +357,17 @@ class TestFitnessBatch:
         assert np.array_equal(np.concatenate(chunks), codes)
 
 
-def _killing_chunk(chunk):
-    """A ``_fitness_chunk`` stand-in that kills the pool worker running it."""
+def _kill_worker(*_):
+    """A ``_fitness_chunk`` or ``_orbit_block`` stand-in that kills the pool worker running it."""
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _batch_and_pool_state(codes):
+    """``fitness_batch(codes)``, and whether it made a pool in this process."""
+    gammas = fitness_batch(codes)
+    made_pool = fitness_module._pool is not None
+    fitness_module._shutdown_pool()  # such a pool's workers would outlive the test
+    return gammas, made_pool
 
 
 def _pool_batch(n, chunks, seed):
@@ -392,7 +400,7 @@ def fresh_pool():
 
 
 class TestWorkerPool:
-    """Batches of at least 2 chunks per CPU are scored on forked workers."""
+    """Maps of at least 2 items per CPU (scoring chunks, brute-force blocks) run on forked workers."""
 
     @needs_pool
     @pytest.mark.parametrize("n", [59, 100])
@@ -418,7 +426,7 @@ class TestWorkerPool:
         self, fresh_pool, monkeypatch, tmp_path, capsys
     ):
         # The pool is forked after the patch, so its workers run the stand-in.
-        monkeypatch.setattr(fitness_module, "_fitness_chunk", _killing_chunk)
+        monkeypatch.setattr(fitness_module, "_fitness_chunk", _kill_worker)
         codes = _pool_batch(59, THRESHOLD, seed=112)
         with pytest.raises(BrokenProcessPool):
             fitness_batch(codes)
@@ -433,26 +441,81 @@ class TestWorkerPool:
         assert fitness_batch(codes).tobytes() == np.concatenate(want).tobytes()
 
     @needs_pool
+    def test_batch_in_a_worker_is_scored_in_that_worker(self, fresh_pool):
+        # A forked worker inherits the parent's pool object; a batch that
+        # reached it would wait forever on a queue no process serves.
+        codes = _pool_batch(59, THRESHOLD, seed=113)
+        pool = fitness_module._worker_pool(CPUS)
+        future = pool.submit(_batch_and_pool_state, codes)
+        workers = list(pool._processes.values())
+        try:
+            got, made_pool = future.result(timeout=120)
+        except BaseException:
+            for worker in workers:
+                worker.kill()  # a stuck worker would block the fixture's shutdown
+            raise
+        assert not made_pool
+        want = [fitness_module._fitness_chunk(c) for c in np.array_split(codes, THRESHOLD)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+    @needs_pool
+    @pytest.mark.parametrize("n", [16, 17, 18, 19, 20])
+    def test_brute_force_on_the_pool_matches_one_cpu(self, fresh_pool, monkeypatch, n):
+        code, gamma = baselines.brute_force_best(n)
+        blocks = -(-(1 << (n - 2)) // baselines._BRUTE_FORCE_BLOCK)
+        if blocks >= THRESHOLD:  # from N = 18 on two CPUs
+            assert fitness_module._pool is not None
+        monkeypatch.setattr(fitness_module, "scoring_cpus", lambda: 1)
+        one_code, one_gamma = baselines.brute_force_best(n)
+        assert code.tobytes() == one_code.tobytes()
+        assert np.float64(gamma).tobytes() == np.float64(one_gamma).tobytes()
+
+    @needs_pool
+    def test_killed_block_worker_fails_bruteforce_with_exit_three(
+        self, fresh_pool, monkeypatch, tmp_path, capsys
+    ):
+        # The pool is forked after the patch, so its workers run the stand-in.
+        monkeypatch.setattr(baselines, "_orbit_block", _kill_worker)
+        assert main(["bruteforce", "20", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ")
+        assert fitness_module._pool is None
+        monkeypatch.undo()
+        assert baselines.brute_force_best(20)[1] == 20.900605805123988
+
+    @needs_pool
     def test_search_exits_with_no_worker_alive(self, tmp_path):
         # Generation 0 scores P random codes, at least 2 chunks per CPU.
         P = THRESHOLD * fitness_module._CHUNK_SYMBOLS // 59
-        script = (
-            "import multiprocessing\n"
-            "from phasecode.cli import main\n"
-            f"assert main(['search', '--N', '59', '--N_G', '1', '--P', '{P}', '--E', '20',"
-            f" '--out', {str(tmp_path)!r}]) == 0\n"
-            "print(*(p.pid for p in multiprocessing.active_children()))\n"
+        _assert_exits_with_no_worker_alive(
+            ["search", "--N", "59", "--N_G", "1", "--P", str(P), "--E", "20", "--out", str(tmp_path)]
         )
-        src = str(Path(phasecode.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""  # nothing printed at exit
-        pids = [int(pid) for pid in proc.stdout.splitlines()[-1].split()]
-        assert len(pids) == CPUS
-        assert not [pid for pid in pids if _alive(pid)]
+
+    @needs_pool
+    def test_bruteforce_exits_with_no_worker_alive(self, tmp_path):
+        # 16 blocks of 2^14 indices at N = 20, at least 2 per CPU up to 8 CPUs.
+        if THRESHOLD > 16:
+            pytest.skip("more than 8 CPUs: the 16 blocks stay in-process")
+        _assert_exits_with_no_worker_alive(["bruteforce", "20", "--out", str(tmp_path)])
+
+
+def _assert_exits_with_no_worker_alive(argv):
+    """Run the CLI on ``argv`` in a fresh interpreter that forks the pool; no worker outlives it."""
+    script = (
+        "import multiprocessing\n"
+        "from phasecode.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(*(p.pid for p in multiprocessing.active_children()))\n"
+    )
+    src = str(Path(phasecode.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""  # nothing printed at exit
+    pids = [int(pid) for pid in proc.stdout.splitlines()[-1].split()]
+    assert len(pids) == CPUS
+    assert not [pid for pid in pids if _alive(pid)]
 
 
 class TestFitnessCache:
