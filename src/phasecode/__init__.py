@@ -34,12 +34,13 @@ from .ga import (
     mutate,
     pad_population,
     prevent_early_convergence,
+    random_search,
     run,
     step_generation,
     tournament_indices,
     tournament_select,
 )
 from .echo import empirical_sir
-from .baselines import KnownCode, brute_force_best, known_code, known_codes, random_search
+from .baselines import KnownCode, brute_force_best, known_code, known_codes
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Reference points: published length-59 codes, random search, and brute force.
+"""Reference points: the published length-59 codes and exhaustive brute force.
 
 The four registry constants are transcribed from the literature and treated
 as ground truth for the fitness oracle: ``known_codes`` recomputes every
@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import PhaseCode, format_code, parse_code, random_codes
+from .codes import PhaseCode, format_code, parse_code
 from .fitness import fitness, fitness_batch, pool_map
-from .ga import GenerationStats, RunResult, ScoreCache, score_codes
 
 # Hard cap for exhaustive enumeration: N = 28 takes under a minute on two CPUs.
 _BRUTE_FORCE_MAX_N = 28
@@ -132,63 +130,6 @@ def known_code(name: str) -> KnownCode:
         if k.name == name:
             return k
     raise KeyError(name)
-
-
-def _checkpoints(budget: int) -> list[int]:
-    marks = []
-    mark = 1
-    while mark < budget:
-        marks.append(mark)
-        mark *= 10
-    marks.append(budget)
-    return marks
-
-
-def random_search(N: int, budget: int, rng: np.random.Generator) -> RunResult:
-    """Evaluate ``budget`` uniform random codes; best-so-far at log checkpoints.
-
-    Draws go through the cache, so repeated codes cost nothing and the
-    visited-states count stays comparable with the genetic search.
-    """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    cache = ScoreCache()
-    t0 = time.perf_counter()
-    marks = _checkpoints(budget)
-    history: list[GenerationStats] = []
-    best_gamma = float("-inf")
-    best_code: PhaseCode | None = None
-    gamma_sum = 0.0
-    done = 0
-    for mark in marks:
-        while done < mark:
-            m = min(4096, mark - done)
-            codes = random_codes(m, N, rng)
-            gammas = score_codes(codes, cache)[0]
-            for g in gammas[np.isfinite(gammas)].tolist():
-                gamma_sum += g  # sequential, so the logged mean is reproducible
-            top = int(np.argmax(gammas))
-            if gammas[top] > best_gamma:
-                best_gamma = float(gammas[top])
-                best_code = codes[top].copy()
-            done += m
-        history.append(
-            GenerationStats(
-                k=done,
-                best_gamma=best_gamma,
-                mean_gamma=gamma_sum / done,
-                distinct_members=len(cache),
-                visited_states=len(cache),
-                elapsed_seconds=time.perf_counter() - t0,
-            )
-        )
-    return RunResult(
-        best_code=best_code,
-        best_gamma=best_gamma,
-        history=history,
-        total_visited_states=len(cache),
-        total_evaluations=done,
-    )
 
 
 def _orbit_images(N: int, ks: np.ndarray) -> list[np.ndarray]:

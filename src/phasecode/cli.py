@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, echo, ga
-from .codes import format_code, parse_code, shifted
-from .fitness import fitness, matched_filter_scr, optimal_filter, scoring_cpus, scr
+from .codes import format_code, lag_responses, lag_values, parse_code
+from .fitness import matched_filter_scr, optimal_filter, scoring_cpus, scr
 from .ga import GaConfig, GenerationStats, RunResult
 
 RUN_LOG_HEADER = [
@@ -298,9 +298,8 @@ def cmd_eval(args) -> int:
         vals = ", ".join(f"{v: .6f}" for v in x[lo : lo + 8])
         print(f"  {vals}")
     print("squared lag responses (x . shifted(s, i))^2:")
-    for lag in echo.lag_values(n):
-        val = (x @ shifted(code, int(lag))) ** 2
-        print(f"  lag {int(lag):+d}: {val:.6e}")
+    for lag, r in zip(lag_values(n), lag_responses(code, x)):
+        print(f"  lag {int(lag):+d}: {r * r:.6e}")
     return 0
 
 
@@ -365,7 +364,7 @@ def cmd_bruteforce(args) -> int:
 def cmd_randomsearch(args) -> int:
     rng = np.random.default_rng(args.seed)
     # The work runs first, so a bad N or budget raises before --out is made.
-    result = baselines.random_search(args.N, args.budget, rng)
+    result = ga.random_search(args.N, args.budget, rng)
     out = _out_dir(args)
     run_id = f"randomsearch_N{args.N}_seed{args.seed}"
     _write_run_log(out / f"{run_id}.log.csv", run_id, args.seed, result.history)
@@ -396,7 +395,7 @@ def cmd_simulate(args) -> int:
         x = optimal_filter(code)
         if x is None:
             raise RuntimeError("clutter matrix is singular; no optimal filter")
-        analytic = fitness(code)
+        analytic = float(np.asarray(code, dtype=float) @ x)  # ``fitness``, on this x
     rng = np.random.default_rng(args.seed)
     estimate = echo.empirical_sir(
         code, x, args.trials, rng, distribution=args.distribution

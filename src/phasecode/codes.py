@@ -2,7 +2,7 @@
 
 A phase code is a length-N vector of bipolar symbols (+1/-1) stored as an
 int8 numpy array so correlation arithmetic works directly on the symbols.
-The aperiodic shift convention is fixed here once and used everywhere:
+The aperiodic shift convention is fixed here once, with the lag order:
 ``shifted(s, i)[n] = s[n + i]`` with zero padding outside [0, N-1], which
 makes ``x . shifted(s, i)`` the aperiodic cross-correlation at lag i and
 gives the adjoint identity  <x, shifted(s, i)> = <shifted(x, -i), s>.
@@ -109,6 +109,26 @@ def shifted(s: PhaseCode, i: int) -> np.ndarray:
     else:
         out[-i:] = s[: n + i]
     return out
+
+
+def lag_values(N: int) -> np.ndarray:
+    """The 2N-2 nonzero lags in canonical order: 1-N, ..., -1, +1, ..., N-1."""
+    lags = np.arange(1 - N, N)
+    return lags[lags != 0]
+
+
+def lag_responses(s: PhaseCode, x: np.ndarray) -> np.ndarray:
+    """The filter's response x . shifted(s, lag) at each lag of ``lag_values(N)``.
+
+    A filter whose length is not N, or that is the zero vector, raises ValueError.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = len(s)
+    if len(x) != n:
+        raise ValueError(f"length mismatch: filter {len(x)} vs code {n}")
+    if not np.any(x):
+        raise ValueError("filter must not be the zero vector")
+    return np.array([x @ shifted(s, int(lag)) for lag in lag_values(n)])
 
 
 def autocorrelation(s: PhaseCode) -> np.ndarray:

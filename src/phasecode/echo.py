@@ -8,7 +8,8 @@ clutter echoes from every other range bin plus noise:
 and the receiver reports the inner product x.y. Averaging the squared
 clutter term over unit-variance reflection coefficients reproduces the
 analytic SCR, which is what ``empirical_sir`` validates. It needs only the
-filter's response to each lag, so it never builds y itself.
+filter's response to each lag (``codes.lag_responses``, in ``lag_values``
+order, as ``scr`` sums them), so it never builds y itself.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ import math
 
 import numpy as np
 
-from .codes import PhaseCode, shifted
+from .codes import PhaseCode, lag_responses
 
 _SIR_CHUNK = 8192
-
-
-def lag_values(N: int) -> np.ndarray:
-    """The 2N-2 nonzero lags in canonical order: 1-N, ..., -1, +1, ..., N-1."""
-    lags = np.arange(1 - N, N)
-    return lags[lags != 0]
 
 
 def _draw_rcs(
@@ -57,15 +52,9 @@ def empirical_sir(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    x = np.asarray(x, dtype=np.float64)
-    n = len(s)
-    if len(x) != n:
-        raise ValueError(f"length mismatch: filter {len(x)} vs code {n}")
-    if not np.any(x):
-        raise ValueError("filter must not be the zero vector")
-    # Per-lag filter response; the per-trial clutter term is just h . response.
-    response = np.array([float(x @ shifted(s, int(lag))) for lag in lag_values(n)])
-    peak = float(x @ np.asarray(s, dtype=np.float64))
+    # The per-trial clutter term is just h . response.
+    response = lag_responses(s, x)
+    peak = float(np.asarray(x, dtype=np.float64) @ np.asarray(s, dtype=np.float64))
     total = 0.0
     done = 0
     while done < trials:

@@ -32,13 +32,12 @@ Two routes evaluate the quadratic form:
 
 from __future__ import annotations
 
-import atexit
 import os
 import sys
 
 import numpy as np
 
-from .codes import PhaseCode, autocorrelation, shifted
+from .codes import PhaseCode, autocorrelation, lag_responses
 
 # Codes are evaluated in chunks of about this many symbols (rows x N), which
 # bound the working set of the lag-major arrays. Each chunk pays a fixed cost
@@ -100,20 +99,12 @@ def scr(s: PhaseCode, x: np.ndarray) -> float:
     ``fitness``; it never goes through the solver. NaN when the clutter
     power is 0 (undefined).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) != len(s):
-        raise ValueError(f"length mismatch: filter {len(x)} vs code {len(s)}")
-    if not np.any(x):
-        raise ValueError("filter must not be the zero vector")
-    n = len(s)
-    peak = float(x @ np.asarray(s, dtype=np.float64))
     clutter = 0.0
-    for i in range(-(n - 1), n):
-        if i == 0:
-            continue
-        clutter += float(x @ shifted(s, i)) ** 2
+    for response in lag_responses(s, x):
+        clutter += float(response) ** 2
     if clutter == 0.0:
         return float("nan")
+    peak = float(np.asarray(x, dtype=np.float64) @ np.asarray(s, dtype=np.float64))
     return peak * peak / clutter
 
 
@@ -214,7 +205,8 @@ def _worker_pool(workers: int):
     Its workers are forked, which takes milliseconds where a spawned worker
     re-imports numpy, so they see the program as it was when the pool was
     made: a monkeypatch made later does not reach them. They ignore SIGINT,
-    which the main process handles, and an ``atexit`` hook shuts them down.
+    which the main process handles. ``concurrent.futures`` joins them when
+    the interpreter exits.
     """
     global _pool
     if _pool is None:
@@ -223,7 +215,6 @@ def _worker_pool(workers: int):
 
         _pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                     initializer=_init_worker)
-        atexit.register(_shutdown_pool)
     return _pool
 
 
@@ -231,7 +222,6 @@ def _shutdown_pool() -> None:
     """Stop the pool's workers, if there is a pool; the next large map makes a new one."""
     global _pool
     if _pool is not None:
-        atexit.unregister(_shutdown_pool)
         _pool.shutdown(cancel_futures=True)
         _pool = None
 

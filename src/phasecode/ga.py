@@ -7,6 +7,9 @@ and random padding back to the population size. All randomness is drawn
 from one sequential generator in the fixed order listed in
 ``step_generation``, so runs are reproducible from the seed alone and the
 evaluation phase consumes no randomness.
+
+``random_search``, the uniform random baseline, scores its draws through
+the same ``ScoreCache``, so its visited states compare with ``run``'s.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .baselines import known_codes
 from .codes import CODE_DTYPE, PhaseCode, random_codes, unique_rows
 from .fitness import fitness_batch
 
@@ -91,8 +95,6 @@ def _init_codes(config: GaConfig) -> np.ndarray:
     ``known``, the published prior codes (the registry minus the GA's own
     ``ga``) in registry order, read through the registry's self-check."""
     if config.init == "known":
-        from .baselines import known_codes  # function-level: baselines imports ga
-
         return np.stack([k.code for k in known_codes() if k.name != "ga"])
     return np.empty((0, config.N), CODE_DTYPE)
 
@@ -408,4 +410,60 @@ def run(
         history=history,
         total_visited_states=len(cache),
         total_evaluations=config.P * len(history),
+    )
+
+
+def _checkpoints(budget: int) -> list[int]:
+    marks = []
+    mark = 1
+    while mark < budget:
+        marks.append(mark)
+        mark *= 10
+    marks.append(budget)
+    return marks
+
+
+def random_search(N: int, budget: int, rng: np.random.Generator) -> RunResult:
+    """Evaluate ``budget`` uniform random codes; best-so-far at log checkpoints.
+
+    Draws go through the cache, so repeated codes cost nothing and the
+    visited-states count stays comparable with the genetic search.
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    cache = ScoreCache()
+    t0 = time.perf_counter()
+    history: list[GenerationStats] = []
+    best_gamma = float("-inf")
+    best_code: PhaseCode | None = None
+    gamma_sum = 0.0
+    done = 0
+    for mark in _checkpoints(budget):
+        while done < mark:
+            m = min(4096, mark - done)
+            codes = random_codes(m, N, rng)
+            gammas = score_codes(codes, cache)[0]
+            for g in gammas[np.isfinite(gammas)].tolist():
+                gamma_sum += g  # sequential, so the logged mean is reproducible
+            top = int(np.argmax(gammas))
+            if gammas[top] > best_gamma:
+                best_gamma = float(gammas[top])
+                best_code = codes[top].copy()
+            done += m
+        history.append(
+            GenerationStats(
+                k=done,
+                best_gamma=best_gamma,
+                mean_gamma=gamma_sum / done,
+                distinct_members=len(cache),
+                visited_states=len(cache),
+                elapsed_seconds=time.perf_counter() - t0,
+            )
+        )
+    return RunResult(
+        best_code=best_code,
+        best_gamma=best_gamma,
+        history=history,
+        total_visited_states=len(cache),
+        total_evaluations=done,
     )

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from phasecode.codes import PhaseCode, shifted
-from phasecode.echo import lag_values
+from phasecode.codes import PhaseCode, lag_values, shifted
 
 
 @dataclass

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from phasecode.baselines import brute_force_best, known_code, known_codes, random_search
+from phasecode.baselines import brute_force_best, known_code, known_codes
 from phasecode.cli import RUN_LOG_HEADER, main
 from phasecode.codes import as_code
 from phasecode.echo import empirical_sir
@@ -28,6 +28,7 @@ from phasecode.ga import (
     evaluate,
     mutate,
     prevent_early_convergence,
+    random_search,
     run,
     tournament_indices,
     tournament_select,

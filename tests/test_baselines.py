@@ -10,9 +10,9 @@ from phasecode.baselines import (
     brute_force_best,
     known_code,
     known_codes,
-    random_search,
 )
 from phasecode.fitness import fitness, fitness_batch
+from phasecode.ga import random_search
 from reference import random_code, symmetry_orbit
 
 # Frozen at first computation: exact optimum for N=12 (enumeration of one

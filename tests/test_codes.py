@@ -11,6 +11,8 @@ from phasecode.codes import (
     as_code,
     autocorrelation,
     format_code,
+    lag_responses,
+    lag_values,
     legendre_code,
     parse_code,
     random_codes,
@@ -50,6 +52,16 @@ class TestShifted:
             s = random_code(n, rng)
             for lag in range(-(n - 1), n):
                 assert np.count_nonzero(shifted(s, lag)) == n - abs(lag)
+
+
+class TestLagResponses:
+    def test_is_each_lags_response_byte_for_byte(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 7, 59, 100):
+            s = random_code(n, rng)
+            x = rng.normal(size=n)
+            expected = np.array([x @ shifted(s, int(i)) for i in lag_values(n)])
+            assert lag_responses(s, x).tobytes() == expected.tobytes()
 
 
 class TestCrossCorrelation:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from echo_model import EchoScenario, mmf_output, simulate_received, simulate_trial
-from phasecode.codes import as_code, shifted
-from phasecode.echo import _SIR_CHUNK, empirical_sir, lag_values
+from phasecode.codes import as_code, lag_values, shifted
+from phasecode.echo import _SIR_CHUNK, empirical_sir
 from phasecode.fitness import matched_filter_scr, optimal_filter, scr
 from reference import random_code
 

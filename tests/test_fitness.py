@@ -23,7 +23,8 @@ from hypothesis.extra.numpy import arrays
 import phasecode
 from phasecode import baselines, ga
 from phasecode.cli import main
-from phasecode.codes import as_code, shifted
+from phasecode.codes import as_code, lag_responses, shifted
+from phasecode.echo import empirical_sir
 from phasecode.fitness import (
     build_clutter_matrix,
     fitness,
@@ -131,12 +132,24 @@ class TestScr:
         assert scr(as_code([1, 1]), np.array([1.0, 1.0])) == pytest.approx(2.0)
 
     def test_zero_filter_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero vector"):
             scr(as_code([1, 1]), np.zeros(2))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length mismatch"):
             scr(as_code([1, 1]), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "route",
+        [lambda s, x: empirical_sir(s, x, 100, np.random.default_rng(0)), lag_responses],
+        ids=["empirical_sir", "lag_responses"],
+    )
+    def test_bad_filter_rejected(self, route):
+        # The other routes read the filter through the same checks as ``scr``.
+        with pytest.raises(ValueError, match="zero vector"):
+            route(as_code([1, 1]), np.zeros(2))
+        with pytest.raises(ValueError, match="length mismatch"):
+            route(as_code([1, 1]), np.ones(3))
 
 
 class TestFitness:
