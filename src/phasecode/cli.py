@@ -187,6 +187,19 @@ def _peak_rss_mb() -> float:
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
+def _run_block(elapsed_seconds: float) -> dict:
+    """The lines every command's result record ends with: its wall time, peak
+    RSS, CPUs, creation time and versions."""
+    return {
+        "elapsed_seconds_total": f"{elapsed_seconds:.6f}",
+        "peak_rss_mb": f"{_peak_rss_mb():.1f}",
+        "cpus": scoring_cpus(),
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def _write_run_log(path: Path, run_id: str, seed: int, history: list[GenerationStats]):
     with _atomic_open(path) as fh:
         writer = csv.writer(fh)
@@ -251,13 +264,8 @@ def _run_all(args, runs: list[tuple[str, GaConfig]]) -> list[RunResult]:
             "total_evaluations": result.total_evaluations,
             "generations_run": result.history[-1].k,
             **echo,
-            "elapsed_seconds_total": f"{result.history[-1].elapsed_seconds:.6f}",
             "cache_hit_rate": f"{1 - result.total_visited_states / result.total_evaluations:.6f}",
-            "peak_rss_mb": f"{_peak_rss_mb():.1f}",
-            "cpus": scoring_cpus(),
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
+            **_run_block(result.history[-1].elapsed_seconds),
         }
         _write_result(out / f"{run_id}.result.txt", meta, result.best_code)
         print(
@@ -350,10 +358,7 @@ def cmd_bruteforce(args) -> int:
             "mode": "bruteforce",
             "N": args.N,
             "gamma": _fmt(gamma),
-            "elapsed_seconds_total": f"{time.perf_counter() - t0:.6f}",
-            "peak_rss_mb": f"{_peak_rss_mb():.1f}",
-            "python": platform.python_version(),
-            "numpy": np.__version__,
+            **_run_block(time.perf_counter() - t0),
         },
         code,
     )
@@ -362,6 +367,7 @@ def cmd_bruteforce(args) -> int:
 
 
 def cmd_randomsearch(args) -> int:
+    t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     # The work runs first, so a bad N or budget raises before --out is made.
     result = ga.random_search(args.N, args.budget, rng)
@@ -378,7 +384,7 @@ def cmd_randomsearch(args) -> int:
             "budget": args.budget,
             "gamma": _fmt(result.best_gamma),
             "visited_states": result.total_visited_states,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
+            **_run_block(time.perf_counter() - t0),
         },
         result.best_code,
     )
@@ -387,6 +393,7 @@ def cmd_randomsearch(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    t0 = time.perf_counter()
     code = _read_code_arg(args)
     if args.filter == "matched":
         x = np.asarray(code, dtype=float)
@@ -420,6 +427,7 @@ def cmd_simulate(args) -> int:
                 "distribution": args.distribution,
                 "analytic_gamma": _fmt(analytic),
                 "empirical_sir": _fmt(estimate),
+                **_run_block(time.perf_counter() - t0),
             },
             code,
         )

@@ -32,6 +32,7 @@ Two routes evaluate the quadratic form:
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 
@@ -47,9 +48,10 @@ from .codes import PhaseCode, autocorrelation, lag_responses
 _CHUNK_SYMBOLS = 1 << 16
 
 # ``pool_map`` runs on the worker pool (``_worker_pool``) only with at least
-# this many items per CPU. On a 2-vCPU VM a pool ``map`` costs about 2 ms,
-# and a 2-chunk batch at N = 20 took 11.5 ms on the pool against 8.2 ms
-# in-process, so small maps stay in-process.
+# this many items per CPU. The threshold was set when a pool ``map`` cost
+# about 2 ms on a 2-vCPU VM, and a 2-chunk batch at N = 20 took 11.5 ms on
+# the pool against 8.2 ms in-process. On the present pool a ``map`` costs
+# about 0.1 ms.
 _POOL_CHUNKS_PER_CPU = 2
 _pool = None  # made by ``_worker_pool`` on first use
 _in_worker = False  # set in each pool worker, which never uses a pool itself
@@ -184,46 +186,125 @@ def scoring_cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _init_worker() -> None:
-    """Pool worker initializer: ignore SIGINT, and never use a pool.
+def _serve(tasks: int, replies: int) -> None:
+    """A pool worker's loop: run each pickled ``(fn, args)`` call read from the
+    ``tasks`` pipe and write ``(True, result)`` or ``(False, exception)`` to
+    the ``replies`` pipe, until ``tasks`` reaches EOF.
 
-    A forked worker inherits ``_pool``, a copy of the parent's executor
-    whose work queue it cannot serve, so a large map made in a worker would
-    hang; ``pool_map`` runs every map in-process there.
+    The worker ignores SIGINT, which the main process handles, and never uses
+    a pool: it drops the copy of ``_pool`` it inherited, whose pipes belong to
+    the parent, and ``pool_map`` runs every map in-process there.
     """
+    import pickle
     import signal
 
     global _pool, _in_worker
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _pool = None
     _in_worker = True
+    with open(tasks, "rb") as calls, open(replies, "wb") as out:
+        while True:
+            try:
+                fn, args = pickle.load(calls)
+            except EOFError:
+                return
+            try:
+                reply = True, fn(*args)
+            except BaseException as exc:
+                reply = False, exc
+            pickle.dump(reply, out)
+            out.flush()
 
 
-def _worker_pool(workers: int):
-    """The process pool that ``pool_map`` uses, made on first use.
+def _worker_pool(workers: int) -> list:
+    """The pool that ``pool_map`` uses, made on first use: one
+    ``(pid, task pipe, reply pipe)`` per forked worker.
 
-    Its workers are forked, which takes milliseconds where a spawned worker
+    Workers are forked, which takes milliseconds where a spawned worker
     re-imports numpy, so they see the program as it was when the pool was
-    made: a monkeypatch made later does not reach them. They ignore SIGINT,
-    which the main process handles. ``concurrent.futures`` joins them when
-    the interpreter exits.
+    made: a monkeypatch made later does not reach them. ``_shutdown_pool``
+    stops them, and runs at interpreter exit.
     """
     global _pool
     if _pool is None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        _pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                    initializer=_init_worker)
+        _pool = []  # filled as workers start, so a failed fork leaves none behind
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            reply_r, reply_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    # Every inherited parent end must go, or a worker would
+                    # never see EOF when the parent closes its own copy.
+                    for _, tasks, replies in _pool:
+                        tasks.close()
+                        replies.close()
+                    os.close(task_w)
+                    os.close(reply_r)
+                    _serve(task_r, reply_w)
+                finally:
+                    os._exit(0)
+            os.close(task_r)
+            os.close(reply_w)
+            _pool.append((pid, open(task_w, "wb"), open(reply_r, "rb")))
     return _pool
 
 
 def _shutdown_pool() -> None:
-    """Stop the pool's workers, if there is a pool; the next large map makes a new one."""
+    """Close each worker's pipes, so it leaves at EOF once its call in flight
+    is done, and reap it; the next large map makes a new pool."""
     global _pool
-    if _pool is not None:
-        _pool.shutdown(cancel_futures=True)
-        _pool = None
+    pool, _pool = _pool or [], None
+    for _, tasks, replies in pool:
+        for pipe in (tasks, replies):
+            try:
+                pipe.close()
+            except OSError:  # an unsent task for a worker that died
+                pass
+    for pid, _, _ in pool:
+        os.waitpid(pid, 0)
+
+
+atexit.register(_shutdown_pool)  # so no worker outlives the interpreter
+
+
+def _map_on_pool(pool: list, fn, calls: list) -> list:
+    """``[fn(*args) for args in calls]`` on ``pool``'s workers, one call in
+    flight per worker: a worker gets its next call when its reply is read, so
+    uneven calls still balance. A worker that dies raises ``RuntimeError``."""
+    import pickle
+    import select
+
+    results = [None] * len(calls)
+    todo = iter(enumerate(calls))
+    busy = {}  # reply pipe fd -> (worker, index of its call in flight)
+
+    def hand_out(worker) -> None:
+        pid, tasks, replies = worker
+        for i, args in todo:  # the next call, if one is left
+            try:
+                pickle.dump((fn, args), tasks)
+                tasks.flush()
+            except BrokenPipeError:
+                raise RuntimeError(f"scoring worker {pid} died") from None
+            busy[replies.fileno()] = worker, i
+            return
+
+    for worker in pool:
+        hand_out(worker)
+    while busy:
+        for fd in select.select(list(busy), [], [])[0]:
+            worker, i = busy.pop(fd)
+            pid, _, replies = worker
+            try:
+                ok, value = pickle.load(replies)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"scoring worker {pid} died") from None
+            if not ok:
+                raise value
+            results[i] = value
+            hand_out(worker)
+    return results
 
 
 def pool_map(fn, *iterables) -> list:
@@ -234,17 +315,18 @@ def pool_map(fn, *iterables) -> list:
     forked workers, one per CPU; otherwise in this process. The results come
     back in call order either way, so for a pure ``fn`` the two give the same
     bytes. ``fn`` and its arguments must be picklable, and ``fn`` is looked
-    up in the worker as it was when the pool was made.
+    up in the worker as it was when the pool was made. An exception ``fn``
+    raises in a worker is raised here.
     """
     calls = list(zip(*iterables))
     cpus = scoring_cpus()
     if _in_worker or cpus == 1 or len(calls) < _POOL_CHUNKS_PER_CPU * cpus:
         return [fn(*args) for args in calls]
     try:
-        return list(_worker_pool(cpus).map(fn, *zip(*calls)))
+        return _map_on_pool(_worker_pool(cpus), fn, calls)
     except BaseException:
-        # The pool may be broken (a worker died), and a broken pool stays
-        # broken; the next large map makes a new one.
+        # A worker may have died, or still hold a call of this map; the next
+        # large map makes a new pool.
         _shutdown_pool()
         raise
 

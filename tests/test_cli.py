@@ -24,6 +24,9 @@ from reference import cross_correlation
 SMALL = ["--N", "16", "--N_G", "6", "--P", "120", "--E", "24", "--M", "5"]
 
 
+RUN_BLOCK = ["elapsed_seconds_total", "peak_rss_mb", "cpus", "created_utc", "python", "numpy"]
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -426,8 +429,7 @@ class TestBruteforceCommand:
         assert main(["bruteforce", "8", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "bruteforce_N8.result.txt").read_text().splitlines()
         keys = [line.split(" = ", 1)[0] for line in lines]
-        assert keys == ["mode", "N", "gamma", "elapsed_seconds_total",
-                        "peak_rss_mb", "python", "numpy", "code"]
+        assert keys == ["mode", "N", "gamma", *RUN_BLOCK, "code"]
         meta = dict(line.split(" = ", 1) for line in lines)
         # ru_maxrss is in KiB on Linux: a reading in bytes would be 1024x too large.
         assert 1.0 < float(meta["peak_rss_mb"]) < 4096.0
@@ -480,6 +482,25 @@ class TestSimulateCommand:
 
 
 class TestCliPlumbing:
+    def test_every_result_record_ends_with_the_run_block(self, tmp_path):
+        ga_args = ["--N", "10", "--N_G", "1", "--P", "20", "--E", "4", "--M", "2"]
+        commands = [
+            ["search", *ga_args],
+            ["sweep", "10", "11", *ga_args[2:]],
+            ["study", "--variable", "p_conv", "--values", "0.3", "0.7", *ga_args],
+            ["bruteforce", "8"],
+            ["randomsearch", "8", "50"],
+            ["simulate", "+1,+1,-1,+1", "--trials", "100"],
+        ]
+        for argv in commands:
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out", str(out)]) == 0, argv
+            records = sorted(out.glob("*.result.txt"))
+            assert records, argv
+            for path in records:
+                keys = [line.split(" = ", 1)[0] for line in path.read_text().splitlines()]
+                assert keys[-7:] == [*RUN_BLOCK, "code"], path.name
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -11,7 +11,7 @@ import os
 import signal
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
+import time
 from pathlib import Path
 
 import numpy as np
@@ -431,8 +431,9 @@ class TestWorkerPool:
 
     @needs_pool
     def test_workers_ignore_sigint(self, fresh_pool):
-        pool = fitness_module._worker_pool(CPUS)
-        assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
+        handlers = fitness_module.pool_map(signal.getsignal, [signal.SIGINT] * THRESHOLD)
+        assert fitness_module._pool is not None  # the calls ran on the pool
+        assert handlers == [signal.SIG_IGN] * THRESHOLD
 
     @needs_pool
     def test_killed_worker_raises_and_the_next_batch_gets_a_new_pool(
@@ -441,10 +442,10 @@ class TestWorkerPool:
         # The pool is forked after the patch, so its workers run the stand-in.
         monkeypatch.setattr(fitness_module, "_fitness_chunk", _kill_worker)
         codes = _pool_batch(59, THRESHOLD, seed=112)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(RuntimeError, match="died"):
             fitness_batch(codes)
         assert fitness_module._pool is None
-        # BrokenProcessPool is a RuntimeError, which the CLI reports with exit code 3.
+        # The CLI reports a RuntimeError with exit code 3.
         argv = ["search", "--N", "59", "--N_G", "1", "--P", str(len(codes)),
                 "--E", "20", "--out", str(tmp_path)]
         assert main(argv) == 3
@@ -454,22 +455,52 @@ class TestWorkerPool:
         assert fitness_batch(codes).tobytes() == np.concatenate(want).tobytes()
 
     @needs_pool
+    def test_worker_killed_between_maps_fails_the_next_map(self, fresh_pool):
+        fitness_module.pool_map(abs, range(THRESHOLD))
+        pid = fitness_module._pool[0][0]
+        os.kill(pid, signal.SIGKILL)
+        while _alive(pid):  # until its pipe ends are closed
+            time.sleep(0.01)
+        with pytest.raises(RuntimeError, match="died"):  # its task pipe is broken
+            fitness_module.pool_map(abs, range(THRESHOLD))
+        assert fitness_module._pool is None
+        assert fitness_module.pool_map(abs, range(-THRESHOLD, 0)) == list(range(THRESHOLD, 0, -1))
+
+    @needs_pool
     def test_batch_in_a_worker_is_scored_in_that_worker(self, fresh_pool):
-        # A forked worker inherits the parent's pool object; a batch that
-        # reached it would wait forever on a queue no process serves.
+        # A forked worker inherits the parent's pool, whose pipes it cannot
+        # use; each batch of THRESHOLD chunks below would reach a pool if the
+        # worker did not run it in-process.
         codes = _pool_batch(59, THRESHOLD, seed=113)
-        pool = fitness_module._worker_pool(CPUS)
-        future = pool.submit(_batch_and_pool_state, codes)
-        workers = list(pool._processes.values())
-        try:
-            got, made_pool = future.result(timeout=120)
-        except BaseException:
-            for worker in workers:
-                worker.kill()  # a stuck worker would block the fixture's shutdown
-            raise
-        assert not made_pool
+        replies = fitness_module.pool_map(_batch_and_pool_state, [codes] * THRESHOLD)
+        assert fitness_module._pool is not None  # the batches ran on the pool
         want = [fitness_module._fitness_chunk(c) for c in np.array_split(codes, THRESHOLD)]
-        assert got.tobytes() == np.concatenate(want).tobytes()
+        for got, made_pool in replies:
+            assert not made_pool
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+    @needs_pool
+    def test_first_worker_leaves_when_its_own_pipes_close(self, fresh_pool):
+        # Workers forked after it inherit the parent's ends of its pipes and
+        # must close them, or it would never see EOF while they run.
+        pool = fitness_module._worker_pool(CPUS)
+        pid, tasks, replies = pool.pop(0)
+        tasks.close()
+        replies.close()
+        for _ in range(1000):
+            if os.waitpid(pid, os.WNOHANG)[0]:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the first worker did not leave within 10 s")
+
+    @needs_pool
+    def test_exception_in_a_worker_is_raised_here(self, fresh_pool):
+        with pytest.raises(ValueError, match="invalid literal"):
+            fitness_module.pool_map(int, ["1"] * (THRESHOLD - 1) + ["x"])
+        assert fitness_module._pool is None
 
     @needs_pool
     @pytest.mark.parametrize("n", [16, 17, 18, 19, 20])
@@ -510,25 +541,71 @@ class TestWorkerPool:
             pytest.skip("more than 8 CPUs: the 16 blocks stay in-process")
         _assert_exits_with_no_worker_alive(["bruteforce", "20", "--out", str(tmp_path)])
 
+    @needs_pool
+    def test_pooled_search_loads_no_multiprocessing(self, tmp_path):
+        # A fresh interpreter, so no other test's imports count. Generation 0
+        # scores P random codes, at least 2 chunks per CPU, on the pool.
+        P = THRESHOLD * fitness_module._CHUNK_SYMBOLS // 59
+        argv = ["search", "--N", "59", "--N_G", "1", "--P", str(P), "--E", "20",
+                "--out", str(tmp_path)]
+        script = (
+            "import sys\n"
+            "from phasecode.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert sys.modules['phasecode.fitness']._pool\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    @needs_pool
+    def test_ctrl_c_leaves_no_worker_alive(self):
+        # SIGINT reaches the main process during a map whose calls take 0.5 s;
+        # the workers ignore it and finish their call before they are reaped.
+        script = (
+            "import sys, time\n"
+            "from phasecode.fitness import pool_map\n"
+            f"pool_map(abs, range({THRESHOLD}))\n"
+            "print(*(pid for pid, _, _ in sys.modules['phasecode.fitness']._pool), flush=True)\n"
+            f"pool_map(time.sleep, [0.5] * {THRESHOLD})\n"
+        )
+        proc = subprocess.Popen([sys.executable, "-c", script], env=_fresh_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode != 0
+        assert "KeyboardInterrupt" in err
+        assert len(pids) == CPUS
+        assert not [pid for pid in pids if _alive(pid)]
+
 
 def _assert_exits_with_no_worker_alive(argv):
     """Run the CLI on ``argv`` in a fresh interpreter that forks the pool; no worker outlives it."""
     script = (
-        "import multiprocessing\n"
+        "import sys\n"
         "from phasecode.cli import main\n"
         f"assert main({argv!r}) == 0\n"
-        "print(*(p.pid for p in multiprocessing.active_children()))\n"
+        "print(*(pid for pid, _, _ in sys.modules['phasecode.fitness']._pool))\n"
     )
-    src = str(Path(phasecode.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""  # nothing printed at exit
     pids = [int(pid) for pid in proc.stdout.splitlines()[-1].split()]
     assert len(pids) == CPUS
     assert not [pid for pid in pids if _alive(pid)]
+
+
+def _fresh_env():
+    """The environment for a fresh interpreter that imports this checkout's ``phasecode``."""
+    src = str(Path(phasecode.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 class TestFitnessCache:

@@ -220,6 +220,21 @@ class TestTournamentSelect:
             sigma = math.sqrt(p * (1 - p) / draws)
             assert abs(counts[i - 1] / draws - p) <= 4 * sigma + 1e-12
 
+    def test_rank_frequencies_match_formula_past_sqrt_p(self):
+        # P=100, M=15: P < M^2 <= 4 P, where rejection resampling now runs
+        # (about 66% of rows collide on their first draw). 2e5 tournaments,
+        # 4-sigma bands per rank, seeds fixed before the first run.
+        P, M, draws = 100, 15, 200_000
+        rng = np.random.default_rng(10)
+        codes = np.stack([random_code(12, rng) for _ in range(P)])
+        pop = ranked_population(codes, np.arange(P, 0, -1))  # rank i has index i-1
+        winners = tournament_indices(pop, M, draws, np.random.default_rng(3))
+        counts = np.bincount(winners, minlength=P)
+        for i in range(1, P + 1):
+            p = tournament_win_probability(P, M, i)
+            sigma = math.sqrt(p * (1 - p) / draws)
+            assert abs(counts[i - 1] / draws - p) <= 4 * sigma + 1e-12
+
     def test_draws_match_full_recheck_formula(self):
         # M^2 <= P with P=30, M=5: about 30% of rows collide, so several
         # re-draw passes run. The indices and the generator state afterwards
@@ -232,7 +247,7 @@ class TestTournamentSelect:
 
     @pytest.mark.parametrize("rows", [1, 218, 1000])
     def test_blocked_permutations_match_one_shot_formula(self, monkeypatch, rows):
-        # M^2 > P with P=300, M=40 takes the permutation path, here drawn in
+        # M^2 > 4 P with P=300, M=40 takes the permutation path, here drawn in
         # blocks of `rows` rows (1000 is one block). The indices and the
         # generator state afterwards must both match one (1000, 300) draw.
         monkeypatch.setattr(ga, "_PERMUTE_ELEMENTS", rows * 300)
