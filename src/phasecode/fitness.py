@@ -48,10 +48,10 @@ from .codes import PhaseCode, autocorrelation, lag_responses
 _CHUNK_SYMBOLS = 1 << 16
 
 # ``pool_map`` runs on the worker pool (``_worker_pool``) only with at least
-# this many items per CPU. The threshold was set when a pool ``map`` cost
-# about 2 ms on a 2-vCPU VM, and a 2-chunk batch at N = 20 took 11.5 ms on
-# the pool against 8.2 ms in-process. On the present pool a ``map`` costs
-# about 0.1 ms.
+# this many items per CPU. A pool ``map`` costs about 0.1 ms, yet pooling
+# every map of two or more items sent ``search-n16``'s four 2-3-chunk maps to
+# the pool and made it slower on a 2-vCPU VM: ``wall_s`` 0.428 -> 0.454 s,
+# worse in 5 of 6 pairs (``bench/run.py --seconds 8``, seeds 21-26).
 _POOL_CHUNKS_PER_CPU = 2
 _pool = None  # made by ``_worker_pool`` on first use
 _in_worker = False  # set in each pool worker, which never uses a pool itself
@@ -188,8 +188,8 @@ def scoring_cpus() -> int:
 
 def _serve(tasks: int, replies: int) -> None:
     """A pool worker's loop: run each pickled ``(fn, args)`` call read from the
-    ``tasks`` pipe and write ``(True, result)`` or ``(False, exception)`` to
-    the ``replies`` pipe, until ``tasks`` reaches EOF.
+    ``tasks`` pipe and write ``(True, result)`` or ``(False, (exception,
+    traceback text))`` to the ``replies`` pipe, until ``tasks`` reaches EOF.
 
     The worker ignores SIGINT, which the main process handles, and never uses
     a pool: it drops the copy of ``_pool`` it inherited, whose pipes belong to
@@ -211,7 +211,9 @@ def _serve(tasks: int, replies: int) -> None:
             try:
                 reply = True, fn(*args)
             except BaseException as exc:
-                reply = False, exc
+                import traceback  # loaded only when a call fails
+
+                reply = False, (exc, traceback.format_exc())
             pickle.dump(reply, out)
             out.flush()
 
@@ -268,6 +270,10 @@ def _shutdown_pool() -> None:
 atexit.register(_shutdown_pool)  # so no worker outlives the interpreter
 
 
+class _WorkerTraceback(Exception):
+    """A pool worker's formatted traceback, the cause of the exception it raised."""
+
+
 def _map_on_pool(pool: list, fn, calls: list) -> list:
     """``[fn(*args) for args in calls]`` on ``pool``'s workers, one call in
     flight per worker: a worker gets its next call when its reply is read, so
@@ -301,7 +307,8 @@ def _map_on_pool(pool: list, fn, calls: list) -> list:
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(f"scoring worker {pid} died") from None
             if not ok:
-                raise value
+                exc, text = value
+                raise exc from _WorkerTraceback(text)
             results[i] = value
             hand_out(worker)
     return results

@@ -210,21 +210,16 @@ def elite_select(pop: Population, E: int) -> np.ndarray:
     return pop.codes[order[:E]]
 
 
-_PERMUTE_ELEMENTS = 1 << 20  # 8 MB of int64 indices per permuted block
-
-
 def _draw_tournament_indices(
     rng: np.random.Generator, P: int, M: int, count: int
 ) -> np.ndarray:
     """(count, M) index matrix: each row M distinct indices uniform on [0, P).
 
-    Rejection resampling up to M^2 <= 4 P, otherwise the first M entries of
-    per-row random permutations; both give the uniform distinct-draw law.
-    At M^2 = 4 P about 86% of rows collide on their first draw, yet
-    rejection still costs a tenth of the permutations (P = 10,000, M = 200).
-    A row without a collision never changes, so each re-draw pass checks
-    only the rows it re-drew. Permutations are drawn in row blocks, which
-    draws what one (count, P) ``permuted`` call would.
+    Rejection resampling up to M^2 <= 4 P, where at most about 86% of rows
+    collide on their first draw; otherwise one ordered sample
+    ``rng.choice(P, M, replace=False)`` per row. Both give the uniform
+    distinct-draw law. A row without a collision never changes, so each
+    re-draw pass checks only the rows it re-drew.
     """
     if M * M <= 4 * P:
         idx = rng.integers(0, P, size=(count, M))
@@ -235,13 +230,9 @@ def _draw_tournament_indices(
             if bad.size == 0:
                 return idx
             idx[bad] = rng.integers(0, P, size=(bad.size, M))
-    order = np.arange(P)
-    rows = max(1, _PERMUTE_ELEMENTS // P)
-    idx = np.empty((count, M), order.dtype)
-    for lo in range(0, count, rows):
-        block = np.tile(order, (min(rows, count - lo), 1))
-        rng.permuted(block, axis=1, out=block)
-        idx[lo : lo + rows] = block[:, :M]
+    idx = np.empty((count, M), np.int64)
+    for row in idx:
+        row[:] = rng.choice(P, M, replace=False)
     return idx
 
 

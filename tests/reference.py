@@ -88,13 +88,6 @@ def draw_tournament_indices_formula(
         idx[bad] = rng.integers(0, P, size=(bad.size, M))
 
 
-def draw_tournament_permutations_formula(
-    rng: np.random.Generator, P: int, M: int, count: int
-) -> np.ndarray:
-    """The first M entries of ``count`` row permutations of [0, P), drawn in one call."""
-    return rng.permuted(np.tile(np.arange(P), (count, 1)), axis=1)[:, :M]
-
-
 def crossover_formula(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """Single-point crossover drawn as ``ga.crossover`` draws it, built with ``np.where``."""
     size, n = pool.shape

@@ -503,6 +503,15 @@ class TestWorkerPool:
         assert fitness_module._pool is None
 
     @needs_pool
+    def test_exception_in_a_worker_keeps_its_traceback(self, fresh_pool):
+        # The worker's formatted traceback is chained as the cause.
+        with pytest.raises(ValueError) as raised:
+            fitness_module.pool_map(int, ["1"] * (THRESHOLD - 1) + ["x"])
+        cause = str(raised.value.__cause__)
+        assert cause.startswith("Traceback (most recent call last):")
+        assert "in _serve" in cause and "invalid literal" in cause
+
+    @needs_pool
     @pytest.mark.parametrize("n", [16, 17, 18, 19, 20])
     def test_brute_force_on_the_pool_matches_one_cpu(self, fresh_pool, monkeypatch, n):
         code, gamma = baselines.brute_force_best(n)

@@ -32,7 +32,6 @@ from phasecode.ga import (
 from reference import (
     crossover_formula,
     draw_tournament_indices_formula,
-    draw_tournament_permutations_formula,
     elite_select_formula,
     packed_key,
     random_code,
@@ -207,33 +206,34 @@ class TestTournamentSelect:
         for c in np.bincount(winners, minlength=4):
             assert c == pytest.approx(10_000, abs=400)  # ~4.6 sigma
 
-    def test_rank_frequencies_match_formula_small_case(self):
-        # P=20, M=3, 2e5 tournaments, 4-sigma bands per rank
-        P, M, draws = 20, 3, 200_000
-        rng = np.random.default_rng(9)
+    @staticmethod
+    def assert_rank_frequencies(P, M, code_seed, draw_seed, draws=200_000):
+        """Win frequency of each rank within 4 sigma of the formula."""
+        rng = np.random.default_rng(code_seed)
         codes = np.stack([random_code(12, rng) for _ in range(P)])
         pop = ranked_population(codes, np.arange(P, 0, -1))  # rank i has index i-1
-        winners = tournament_indices(pop, M, draws, np.random.default_rng(2))
+        winners = tournament_indices(pop, M, draws, np.random.default_rng(draw_seed))
         counts = np.bincount(winners, minlength=P)
         for i in range(1, P + 1):
             p = tournament_win_probability(P, M, i)
             sigma = math.sqrt(p * (1 - p) / draws)
             assert abs(counts[i - 1] / draws - p) <= 4 * sigma + 1e-12
 
+    def test_rank_frequencies_match_formula_small_case(self):
+        # P=20, M=3, 2e5 tournaments, 4-sigma bands per rank
+        self.assert_rank_frequencies(20, 3, code_seed=9, draw_seed=2)
+
     def test_rank_frequencies_match_formula_past_sqrt_p(self):
         # P=100, M=15: P < M^2 <= 4 P, where rejection resampling now runs
         # (about 66% of rows collide on their first draw). 2e5 tournaments,
         # 4-sigma bands per rank, seeds fixed before the first run.
-        P, M, draws = 100, 15, 200_000
-        rng = np.random.default_rng(10)
-        codes = np.stack([random_code(12, rng) for _ in range(P)])
-        pop = ranked_population(codes, np.arange(P, 0, -1))  # rank i has index i-1
-        winners = tournament_indices(pop, M, draws, np.random.default_rng(3))
-        counts = np.bincount(winners, minlength=P)
-        for i in range(1, P + 1):
-            p = tournament_win_probability(P, M, i)
-            sigma = math.sqrt(p * (1 - p) / draws)
-            assert abs(counts[i - 1] / draws - p) <= 4 * sigma + 1e-12
+        self.assert_rank_frequencies(100, 15, code_seed=10, draw_seed=3)
+
+    def test_rank_frequencies_match_formula_past_two_sqrt_p(self):
+        # P=100, M=25: M^2 > 4 P, where each row is one ``rng.choice`` ordered
+        # sample. 2e5 tournaments, 4-sigma bands per rank, seeds fixed before
+        # the first run.
+        self.assert_rank_frequencies(100, 25, code_seed=18, draw_seed=4)
 
     def test_draws_match_full_recheck_formula(self):
         # M^2 <= P with P=30, M=5: about 30% of rows collide, so several
@@ -245,17 +245,20 @@ class TestTournamentSelect:
         assert rng.bit_generator.state == ref.bit_generator.state
         assert all(len(set(row)) == 5 for row in idx.tolist())
 
-    @pytest.mark.parametrize("rows", [1, 218, 1000])
-    def test_blocked_permutations_match_one_shot_formula(self, monkeypatch, rows):
-        # M^2 > 4 P with P=300, M=40 takes the permutation path, here drawn in
-        # blocks of `rows` rows (1000 is one block). The indices and the
-        # generator state afterwards must both match one (1000, 300) draw.
-        monkeypatch.setattr(ga, "_PERMUTE_ELEMENTS", rows * 300)
-        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
-        idx = ga._draw_tournament_indices(rng, 300, 40, 1000)
-        assert np.array_equal(idx, draw_tournament_permutations_formula(ref, 300, 40, 1000))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert all(len(set(row)) == 40 for row in idx.tolist())
+    @pytest.mark.parametrize("P, M", [(300, 40), (50, 50), (10_000, 201)])
+    def test_sampled_rows_hold_distinct_indices(self, P, M):
+        # M^2 > 4 P: every row holds M distinct indices in [0, P), even when
+        # the tournament takes the whole population (M = P).
+        idx = ga._draw_tournament_indices(np.random.default_rng(17), P, M, 500)
+        assert idx.shape == (500, M) and idx.dtype == np.int64
+        assert idx.min() >= 0 and idx.max() < P
+        assert (np.diff(np.sort(idx, axis=1), axis=1) > 0).all()
+
+    @pytest.mark.parametrize("P, M", [(30, 5), (300, 40)])
+    def test_no_tournaments_give_an_empty_matrix(self, P, M):
+        # Rejection (M^2 <= 4 P) and per-row sampling (M^2 > 4 P) alike.
+        idx = ga._draw_tournament_indices(np.random.default_rng(19), P, M, 0)
+        assert idx.shape == (0, M)
 
 
 class TestWinProbability:
