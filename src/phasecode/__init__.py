@@ -10,8 +10,10 @@ from .codes import (
     autocorrelation,
     format_code,
     legendre_code,
+    pack_codes,
     parse_code,
     shifted,
+    unpack_codes,
 )
 from .fitness import (
     build_clutter_matrix,

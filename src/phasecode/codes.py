@@ -6,6 +6,11 @@ The aperiodic shift convention is fixed here once, with the lag order:
 ``shifted(s, i)[n] = s[n + i]`` with zero padding outside [0, N-1], which
 makes ``x . shifted(s, i)`` the aperiodic cross-correlation at lag i and
 gives the adjoint identity  <x, shifted(s, i)> = <shifted(x, -i), s>.
+
+The genetic search keeps its codes packed, one sign bit per symbol in
+64-bit words (``pack_codes``); this module alone knows that bit layout, and
+gives the other modules its operations: pack, unpack, crossover head masks,
+single-symbol bits and row deduplication.
 """
 
 from __future__ import annotations
@@ -43,56 +48,84 @@ def as_code(values) -> PhaseCode:
     return code
 
 
-def _key_words(codes: np.ndarray) -> np.ndarray:
-    """(B, W) big-endian uint64 key words of a (B, N) code matrix, W = N // 64 + 1.
+def pack_codes(codes: np.ndarray) -> np.ndarray:
+    """(B, W) native ``uint64`` words of a (B, N) code matrix, W = N // 64 + 1.
 
-    Each row is the ``np.packbits`` of its N sign bits (+1 as 1), then a 1
-    stop bit, then zero padding to 64 W bits. The words are big-endian, so
-    their bytes are the packed bytes: symbol 0 is the top bit of byte 0, the
-    bytes are the same on every platform, and byte order, word order and
-    bit-string order all agree. The stop bit keeps a code from colliding
-    with the same code extended by -1 symbols: the key is one-to-one across
-    code lengths.
+    This is the packed form the genetic search works on and the score
+    cache's key. Each row is the ``np.packbits`` of its N sign bits (+1 as
+    1), then a 1 stop bit, then zero padding to 64 W bits, read as W
+    big-endian words: symbol p is bit 63 - p % 64 of word p // 64, so word
+    order and integer order are the bit-string order, and the words'
+    big-endian bytes are the packed bytes on every platform. The stop bit
+    keeps a code from colliding with the same code extended by -1 symbols:
+    the words are one-to-one across code lengths, and they give the length
+    back (``unpack_codes``).
     """
     b, n = codes.shape
     bits = np.zeros((b, 64 * (n // 64 + 1)), dtype=bool)
     bits[:, :n] = codes > 0
     bits[:, n] = True
-    return np.packbits(bits, axis=1).view(">u8")
+    return np.packbits(bits, axis=1).view(">u8").astype(np.uint64)
 
 
-def unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a (B, N) code matrix, in ascending key order.
+def unpack_codes(words: np.ndarray) -> np.ndarray:
+    """The (B, N) int8 codes of ``pack_codes`` words whose rows share one length.
+
+    N is read from the stop bit of the first row, which must exist: it is
+    the lowest set bit of the last word.
+    """
+    last = int(words[0, -1])
+    n = 64 * words.shape[1] - (last & -last).bit_length()
+    bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=n)
+    return 2 * bits.view(CODE_DTYPE) - 1
+
+
+# _HEAD_MASKS[k] is a word whose top k bits are set, k = 0..64.
+_HEAD_MASKS = np.array([(1 << 64) - (1 << (64 - k)) for k in range(65)], dtype=np.uint64)
+
+
+def head_masks(splits: np.ndarray, W: int) -> np.ndarray:
+    """(B, W) word masks of the first ``splits[i]`` symbols of a packed row."""
+    starts = 64 * np.arange(W)
+    return _HEAD_MASKS[np.clip(splits[:, None] - starts, 0, 64)]
+
+
+def symbol_bits(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The word index and the one-bit word mask of each symbol position in ``pos``."""
+    return pos // 64, np.left_shift(np.uint64(1), (63 - pos % 64).astype(np.uint64))
+
+
+def unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a (B, W) ``pack_codes`` word matrix, in ascending key order.
 
     Returns ``keys`` (each distinct row's key, ascending and distinct),
     ``first`` (the index of each distinct row's first occurrence) and
     ``inverse`` (the distinct-row number of every row), so
-    ``codes[first][inverse]`` equals ``codes``. A one-word key (N <= 63) is
-    its ``_key_words`` word as a native ``uint64``, which numpy sorts and
-    searches as a plain integer; a wider key is its 8 W ``_key_words`` bytes
-    as one void (``tolist`` gives the bytes). Both order keys as bit strings.
+    ``words[first][inverse]`` equals ``words``. A one-word key (N <= 63) is
+    that word, which numpy sorts and searches as a plain integer; a wider
+    key is the 8 W big-endian bytes of its words as one void (``tolist``
+    gives the bytes). Both order keys as bit strings.
 
-    One sort of the key words groups equal rows and orders the groups as
-    bit strings, which is the byte order numpy uses to sort and search
-    voids. A one-word key takes numpy's SIMD ``argsort``, which is not
-    stable; wider keys take ``np.lexsort``. Either way each group's first
+    One sort of the words groups equal rows and orders the groups as bit
+    strings, which is the byte order numpy uses to sort and search voids.
+    A one-word key takes numpy's SIMD ``argsort``, which is not stable;
+    wider keys take ``np.lexsort``. Either way each group's first
     occurrence is its least index, found with ``np.minimum.reduceat``.
     """
-    words = _key_words(codes)
-    native = words.astype(np.uint64)
-    if native.shape[1] == 1:
-        order = np.argsort(native[:, 0])
+    if words.shape[1] == 1:
+        order = np.argsort(words[:, 0])
     else:
-        order = np.lexsort(native.T[::-1])
-    ranked = native[order]
+        order = np.lexsort(words.T[::-1])
+    ranked = words[order]
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(starts) - 1
     first = np.minimum.reduceat(order, np.flatnonzero(starts))
-    if native.shape[1] == 1:
-        return native[first, 0], first, inverse
-    return words[first].view(f"V{words.shape[1] * 8}")[:, 0], first, inverse
+    if words.shape[1] == 1:
+        return words[first, 0], first, inverse
+    big = words[first].astype(">u8")
+    return big.view(f"V{words.shape[1] * 8}")[:, 0], first, inverse
 
 
 def shifted(s: PhaseCode, i: int) -> np.ndarray:

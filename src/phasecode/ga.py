@@ -8,6 +8,13 @@ from one sequential generator in the fixed order listed in
 ``step_generation``, so runs are reproducible from the seed alone and the
 evaluation phase consumes no randomness.
 
+The population is kept packed, one ``codes.pack_codes`` row of W = N // 64
++ 1 words per member, which is also the score cache's key: elites and
+tournament winners are row gathers, crossover and mutation are bit
+operations on the words, and thinning and scoring deduplicate the words
+directly. Only new codes are packed (generation 0 and the padding), and
+only codes the cache misses, and the best code, are unpacked.
+
 ``random_search``, the uniform random baseline, scores its draws through
 the same ``ScoreCache``, so its visited states compare with ``run``'s.
 """
@@ -17,12 +24,21 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .baselines import known_codes
-from .codes import CODE_DTYPE, PhaseCode, random_codes, unique_rows
+from .codes import (
+    CODE_DTYPE,
+    PhaseCode,
+    head_masks,
+    pack_codes,
+    random_codes,
+    symbol_bits,
+    unique_rows,
+    unpack_codes,
+)
 from .fitness import fitness_batch
 
 
@@ -103,19 +119,20 @@ def _init_codes(config: GaConfig) -> np.ndarray:
 class Population:
     """Ordered population of scored codes; ``evaluate`` builds one.
 
-    ``gammas[p]`` is the SCR of ``codes[p]``; undefined scores are stored as
-    -inf so every comparison stays total. ``distinct_members`` is the number
-    of distinct codes.
+    ``words[p]`` is member p's code packed by ``codes.pack_codes``;
+    ``gammas[p]`` is its SCR, with undefined scores stored as -inf so every
+    comparison stays total. ``distinct_members`` is the number of distinct
+    codes.
     """
 
     generation: int
-    codes: np.ndarray  # (P, N) int8
+    words: np.ndarray  # (P, W) uint64
     gammas: np.ndarray  # (P,) float
     distinct_members: int
 
     @property
     def size(self) -> int:
-        return self.codes.shape[0]
+        return self.words.shape[0]
 
 
 @dataclass(frozen=True)
@@ -138,10 +155,10 @@ class RunResult:
 
 
 def init_population(config: GaConfig, rng: np.random.Generator) -> np.ndarray:
-    """Generation 0's (P, N) codes: the ``init`` codes, then uniform random codes."""
+    """Generation 0, packed: the ``init`` codes, then uniform random codes."""
     seeds = _init_codes(config)
     fill = random_codes(config.P - len(seeds), config.N, rng)
-    return np.concatenate([seeds, fill])
+    return pack_codes(np.concatenate([seeds, fill]))
 
 
 @dataclass
@@ -162,17 +179,17 @@ class ScoreCache:
         return self.keys.size
 
 
-def score_codes(codes: np.ndarray, cache: ScoreCache) -> tuple[np.ndarray, int]:
-    """Gammas of a (B, N) code matrix, -inf where undefined, and its distinct-row count.
+def score_codes(words: np.ndarray, cache: ScoreCache) -> tuple[np.ndarray, int]:
+    """Gammas of a (B, W) packed code matrix, -inf where undefined, and its distinct-row count.
 
     ``unique_rows`` gives the distinct keys in ascending order, so one
     ``searchsorted`` into ``cache.keys`` finds each key's position: a hit
     where the key stored there is equal (a cached NaN is a hit), a miss
-    otherwise. The misses are scored in one ``fitness_batch`` call, in key
-    order, and inserted at those same positions, which keeps the cache
-    sorted.
+    otherwise. The misses are unpacked and scored in one ``fitness_batch``
+    call, in key order, and inserted at those same positions, which keeps
+    the cache sorted.
     """
-    keys, first, inverse = unique_rows(codes)
+    keys, first, inverse = unique_rows(words)
     if not len(cache):
         cache.keys = keys[:0]  # an empty cache takes its key dtype from its first codes
     if cache.keys.dtype != keys.dtype:
@@ -184,15 +201,15 @@ def score_codes(codes: np.ndarray, cache: ScoreCache) -> tuple[np.ndarray, int]:
     gammas[hit] = cache.gammas[pos[hit]]
     miss = np.flatnonzero(~hit)
     if miss.size:
-        gammas[miss] = fitness_batch(codes[first[miss]])
+        gammas[miss] = fitness_batch(unpack_codes(words[first[miss]]))
         cache.keys = np.insert(cache.keys, pos[miss], keys[miss])
         cache.gammas = np.insert(cache.gammas, pos[miss], gammas[miss])
     return np.where(np.isnan(gammas), -np.inf, gammas)[inverse], keys.size
 
 
-def evaluate(codes: np.ndarray, cache: ScoreCache, generation: int = 0) -> Population:
-    """The population of ``codes``, scored through the cache (``score_codes``)."""
-    return Population(generation, codes, *score_codes(codes, cache))
+def evaluate(words: np.ndarray, cache: ScoreCache, generation: int = 0) -> Population:
+    """The population of packed codes ``words``, scored through the cache (``score_codes``)."""
+    return Population(generation, words, *score_codes(words, cache))
 
 
 def elite_select(pop: Population, E: int) -> np.ndarray:
@@ -207,7 +224,7 @@ def elite_select(pop: Population, E: int) -> np.ndarray:
     neg = -pop.gammas
     top = np.flatnonzero(neg <= np.partition(neg, E - 1)[E - 1])
     order = top[np.argsort(neg[top], kind="stable")]
-    return pop.codes[order[:E]]
+    return pop.words[order[:E]]
 
 
 def _draw_tournament_indices(
@@ -257,68 +274,70 @@ def tournament_indices(
 def tournament_select(
     pop: Population, M: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Codes of the ``tournament_indices`` winners, as a new (count, N) array.
+    """Packed codes of the ``tournament_indices`` winners, as a new (count, W) array.
 
     Draws from ``rng`` exactly as ``tournament_indices`` does.
     """
-    return np.take(pop.codes, tournament_indices(pop, M, count, rng), axis=0)
+    return np.take(pop.words, tournament_indices(pop, M, count, rng), axis=0)
 
 
 def prevent_early_convergence(
-    codes: np.ndarray | Sequence[PhaseCode], p_conv: float, rng: np.random.Generator
+    words: np.ndarray, p_conv: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Thin duplicate codes: first occurrence kept, later ones kept w.p. p_conv.
+    """Thin duplicate packed codes: first occurrence kept, later ones kept w.p. p_conv.
 
     Draws one uniform per repeat, in index order.
     """
-    arr = np.asarray(codes)
-    keep = np.zeros(arr.shape[0], dtype=bool)
-    keep[unique_rows(arr)[1]] = True
+    keep = np.zeros(words.shape[0], dtype=bool)
+    keep[unique_rows(words)[1]] = True
     repeats = np.nonzero(~keep)[0]
     keep[repeats] = rng.random(repeats.size) < p_conv
-    return arr[keep]
+    return words[keep]
 
 
-def pad_population(codes: np.ndarray, P: int, rng: np.random.Generator) -> np.ndarray:
-    """Append fresh uniform random codes until the population is full again."""
-    count = codes.shape[0]
+def pad_population(words: np.ndarray, P: int, N: int, rng: np.random.Generator) -> np.ndarray:
+    """Append fresh uniform random length-N codes, packed, until the population is full again."""
+    count = words.shape[0]
     if count > P:
         raise RuntimeError(f"pipeline produced {count} codes for population size {P}")
     if count == P:
-        return codes
-    return np.concatenate([codes, random_codes(P - count, codes.shape[1], rng)])
+        return words
+    return np.concatenate([words, pack_codes(random_codes(P - count, N, rng))])
 
 
-def crossover(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` single-point crossover children of a (B, N) parent pool.
+def crossover(pool: np.ndarray, count: int, N: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` single-point crossover children of a (B, W) packed pool of length-N codes.
 
-    Child i takes its first ``split`` symbols from parent a and the rest from
-    parent b. Draws, in order: every parent a, every parent b, every split,
-    each uniform (split on [1, N)). The children start as copies of parents
-    b, and each row's head is then copied over from parent a.
+    Child i takes its first ``split`` symbols from parent a and the rest,
+    stop bit included, from parent b. Draws, in order: every parent a,
+    every parent b, every split, each uniform (split on [1, N)). Each child
+    is ``b ^ ((a ^ b) & head)``, that is ``(a & head) | (b & ~head)``, with
+    ``head`` the words of its first ``split`` symbols (``codes.head_masks``).
     """
-    pool = np.asarray(pool, dtype=CODE_DTYPE)
-    size, n = pool.shape
+    size, W = pool.shape
     ia = rng.integers(0, size, size=count)
     ib = rng.integers(0, size, size=count)
-    splits = rng.integers(1, n, size=count)
+    splits = rng.integers(1, N, size=count)
     children = np.take(pool, ib, axis=0)
-    head = np.arange(n)[None, :] < splits[:, None]
-    np.copyto(children, np.take(pool, ia, axis=0), where=head)
+    delta = np.take(pool, ia, axis=0)
+    delta ^= children
+    delta &= head_masks(splits, W)
+    children ^= delta
     return children
 
 
-def mutate(children: np.ndarray, p_muta: float, rng: np.random.Generator) -> np.ndarray:
-    """With probability p_muta per row, flip the sign of one uniformly chosen symbol.
+def mutate(
+    children: np.ndarray, p_muta: float, N: int, rng: np.random.Generator
+) -> np.ndarray:
+    """With probability p_muta per row, flip the sign of one uniformly chosen symbol of N.
 
-    Mutates the (B, N) matrix in place and returns it. Draws, in order: one
-    uniform gate per row, then one position per gated row.
+    Mutates the (B, W) packed matrix in place and returns it. Draws, in
+    order: one uniform gate per row, then one position per gated row.
     """
-    count, n = children.shape
-    gate = rng.random(size=count) < p_muta
+    gate = rng.random(size=children.shape[0]) < p_muta
     rows = np.nonzero(gate)[0]
-    pos = rng.integers(0, n, size=rows.size)
-    children[rows, pos] *= -1
+    word, bit = symbol_bits(rng.integers(0, N, size=rows.size))
+    children[rows, word] ^= bit
     return children
 
 
@@ -334,15 +353,15 @@ def step_generation(
     pairs, split points, mutation gates, mutation positions, duplicate-keep
     draws, padding codes.
     """
-    P, E = config.P, config.E
+    N, P, E = config.N, config.P, config.E
     elites = elite_select(pop, E)
     winners = tournament_select(pop, config.M, P - E, rng)
     pool = np.concatenate([winners, elites])
-    children = crossover(pool, P - E, rng)
-    children = mutate(children, config.p_muta, rng)
+    children = crossover(pool, P - E, N, rng)
+    children = mutate(children, config.p_muta, N, rng)
     candidate = np.concatenate([children, elites])
     kept = prevent_early_convergence(candidate, config.p_conv, rng)
-    return evaluate(pad_population(kept, P, rng), cache, pop.generation + 1)
+    return evaluate(pad_population(kept, P, N, rng), cache, pop.generation + 1)
 
 
 def _population_stats(pop: Population, visited: int, t0: float) -> GenerationStats:
@@ -389,7 +408,7 @@ def run(
         idx = int(np.argmax(pop.gammas))
         if best_code is None or pop.gammas[idx] > best_gamma:
             best_gamma = float(pop.gammas[idx])
-            best_code = pop.codes[idx].copy()
+            best_code = unpack_codes(pop.words[idx : idx + 1])[0]
         history.append(_population_stats(pop, len(cache), t0))
         if on_generation:
             on_generation(history[-1])
@@ -435,7 +454,7 @@ def random_search(N: int, budget: int, rng: np.random.Generator) -> RunResult:
         while done < mark:
             m = min(4096, mark - done)
             codes = random_codes(m, N, rng)
-            gammas = score_codes(codes, cache)[0]
+            gammas = score_codes(pack_codes(codes), cache)[0]
             for g in gammas[np.isfinite(gammas)].tolist():
                 gamma_sum += g  # sequential, so the logged mean is reproducible
             top = int(np.argmax(gammas))

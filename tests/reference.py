@@ -4,11 +4,14 @@
 analytic law of tournament selection that the GA's sampled tournaments are
 checked against; ``random_code`` and ``cross_correlation`` are the
 single-code forms of ``random_codes`` and of ``x @ shifted(s, i)``;
-``packed_key`` spells out the ``codes.unique_rows`` key bit by bit. The
+``packed_key`` spells out the ``codes.pack_codes`` row bit by bit. The
 ``*_formula`` functions are the plain forms of GA operators that the
 package computes a faster way or in less memory: a full stable sort,
-re-checking every tournament on each re-draw pass, all of a draw's
-permutations in one array, and a ``np.where`` crossover.
+re-checking every tournament on each re-draw pass, a ``np.where``
+crossover, a sign flip, a per-row duplicate loop and a dict score cache,
+all on int8 codes where the package works on packed words.
+``step_generation_formula`` chains them into one generation, so the packed
+generation step has an oracle that shares none of its bit handling.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import math
 
 import numpy as np
 
-from phasecode.codes import CODE_DTYPE, PhaseCode, shifted
+from phasecode.codes import CODE_DTYPE, PhaseCode, random_codes, shifted
+from phasecode.fitness import fitness_batch
 
 
 def random_code(N: int, rng: np.random.Generator) -> PhaseCode:
@@ -96,6 +100,70 @@ def crossover_formula(pool: np.ndarray, count: int, rng: np.random.Generator) ->
     splits = rng.integers(1, n, size=count)
     cols = np.arange(n)[None, :]
     return np.where(cols < splits[:, None], pool[ia], pool[ib]).astype(CODE_DTYPE)
+
+
+def mutate_formula(children: np.ndarray, p_muta: float, rng: np.random.Generator) -> np.ndarray:
+    """Single-symbol mutation drawn as ``ga.mutate`` draws it, as a sign flip of
+    int8 symbols; mutates ``children`` in place and returns it."""
+    count, n = children.shape
+    gate = rng.random(size=count) < p_muta
+    rows = np.nonzero(gate)[0]
+    pos = rng.integers(0, n, size=rows.size)
+    children[rows, pos] *= -1
+    return children
+
+
+def prevent_early_convergence_formula(
+    codes: np.ndarray, p_conv: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Duplicate thinning as a loop over rows with a set of the codes seen so far."""
+    seen, keep = set(), []
+    for idx in range(codes.shape[0]):
+        k = codes[idx].tobytes()
+        if k not in seen:
+            seen.add(k)
+            keep.append(idx)
+        elif rng.random() < p_conv:
+            keep.append(idx)
+    return codes[keep]
+
+
+def score_codes_formula(codes: np.ndarray, cache: dict) -> tuple[np.ndarray, int]:
+    """``ga.score_codes`` on int8 codes with a dict cache keyed by ``packed_key``.
+
+    The codes not yet in ``cache`` are scored in one ``fitness_batch`` call,
+    in key order, as ``ga.score_codes`` scores its misses.
+    """
+    keys = [packed_key(row) for row in codes]
+    rows = dict(zip(keys, codes))
+    new = sorted(k for k in rows if k not in cache)
+    if new:
+        cache.update(zip(new, fitness_batch(np.stack([rows[k] for k in new])).tolist()))
+    gammas = np.array([cache[k] for k in keys], dtype=float)
+    return np.where(np.isnan(gammas), -np.inf, gammas), len(rows)
+
+
+def step_generation_formula(
+    codes: np.ndarray, gammas: np.ndarray, config, cache: dict, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One generation on int8 codes, drawn as ``ga.step_generation`` draws it.
+
+    Built from the ``*_formula`` operators and ``score_codes_formula``; the
+    tournaments take the rejection draw (M^2 <= 4 P). Returns the next
+    generation's codes, gammas and distinct-code count.
+    """
+    N, P, E = config.N, config.P, config.E
+    elites = elite_select_formula(codes, gammas, E)
+    idx = draw_tournament_indices_formula(rng, P, config.M, P - E)
+    winners = codes[idx[np.arange(P - E), np.argmax(gammas[idx], axis=1)]]
+    children = crossover_formula(np.concatenate([winners, elites]), P - E, rng)
+    children = mutate_formula(children, config.p_muta, rng)
+    kept = prevent_early_convergence_formula(
+        np.concatenate([children, elites]), config.p_conv, rng
+    )
+    if len(kept) < P:
+        kept = np.concatenate([kept, random_codes(P - len(kept), N, rng)])
+    return kept, *score_codes_formula(kept, cache)
 
 
 def symmetry_orbit(code: np.ndarray) -> np.ndarray:

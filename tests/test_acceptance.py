@@ -13,7 +13,7 @@ import pytest
 
 from phasecode.baselines import brute_force_best, known_code, known_codes
 from phasecode.cli import RUN_LOG_HEADER, main
-from phasecode.codes import as_code
+from phasecode.codes import as_code, pack_codes, unpack_codes
 from phasecode.echo import empirical_sir
 from phasecode.fitness import (
     build_clutter_matrix,
@@ -171,12 +171,12 @@ class TestCriterion6OperatorStatistics:
         rng = np.random.default_rng(60)
         codes = np.stack([random_code(12, rng) for _ in range(P)])
         gammas = np.arange(P, 0, -1).astype(float)  # index i = rank i+1
-        pop = Population(0, codes, gammas, len(np.unique(codes, axis=0)))
+        pop = Population(0, pack_codes(codes), gammas, len(np.unique(codes, axis=0)))
         # Count winners by population index: this fixture holds four pairs of
         # identical codes, so a code cannot name its member.
         indices = tournament_indices(pop, M, draws, np.random.default_rng(61))
         winners = tournament_select(pop, M, draws, np.random.default_rng(61))
-        assert np.array_equal(winners, codes[indices])
+        assert np.array_equal(unpack_codes(winners), codes[indices])
         counts = np.bincount(indices, minlength=P)
         worst_z = 0.0
         for rank in range(1, P + 1):
@@ -201,7 +201,7 @@ class TestCriterion6OperatorStatistics:
         flips = 0
         rows, block = 1_000_000, 100_000
         for _ in range(rows // block):
-            out = mutate(np.tile(s, (block, 1)), 0.3, rng)
+            out = unpack_codes(mutate(pack_codes(np.tile(s, (block, 1))), 0.3, 59, rng))
             flips += int(np.count_nonzero(out != s))
         rate = flips / rows
         ok = abs(rate - 0.3) <= 0.002
@@ -214,7 +214,7 @@ class TestCriterion6OperatorStatistics:
 
     def test_duplicate_thinning_retention(self):
         rng = np.random.default_rng(63)
-        block = np.tile(random_code(12, rng), (11, 1))
+        block = pack_codes(np.tile(random_code(12, rng), (11, 1)))
         reps = 100_000
         total = 0
         for _ in range(reps):

@@ -11,13 +11,17 @@ from phasecode.codes import (
     as_code,
     autocorrelation,
     format_code,
+    head_masks,
     lag_responses,
     lag_values,
     legendre_code,
+    pack_codes,
     parse_code,
     random_codes,
     shifted,
+    symbol_bits,
     unique_rows,
+    unpack_codes,
 )
 from reference import cross_correlation, packed_key, random_code
 
@@ -218,7 +222,7 @@ class TestAsCode:
 
 def row_key(code):
     """The key ``unique_rows`` gives a single code."""
-    return unique_rows(np.asarray(code)[None])[0].tolist()[0]
+    return unique_rows(pack_codes(np.asarray(code)[None]))[0].tolist()[0]
 
 
 def expected_key(code):
@@ -250,13 +254,14 @@ def assert_matches_dict_of_bytes_reference(codes):
         first_seen.setdefault(packed_key(row), idx)
     ref_keys = sorted(first_seen)
     rank = {k: r for r, k in enumerate(ref_keys)}
-    keys, first, inverse = unique_rows(codes)
+    words = pack_codes(codes)
+    keys, first, inverse = unique_rows(words)
     assert keys.tolist() == [expected_key(codes[first_seen[k]]) for k in ref_keys]
     # The keys ascend in bit-string order, the order of ``ref_keys``.
     assert np.array_equal(np.sort(keys), keys)
     assert first.tolist() == [first_seen[k] for k in ref_keys]
     assert inverse.tolist() == [rank[packed_key(row)] for row in codes]
-    assert np.array_equal(codes[first][inverse], codes)
+    assert np.array_equal(words[first][inverse], words)
 
 
 class TestUniqueRows:
@@ -276,7 +281,7 @@ class TestUniqueRows:
 
     @pytest.mark.parametrize("n, width", [(16, 8), (63, 8), (64, 16), (100, 16)])
     def test_empty_matrix(self, n, width):
-        keys, first, inverse = unique_rows(np.empty((0, n), np.int8))
+        keys, first, inverse = unique_rows(pack_codes(np.empty((0, n), np.int8)))
         # A one-word key is a native uint64, a wider one a void of its bytes.
         assert keys.dtype == np.dtype(np.uint64 if width == 8 else f"V{width}")
         assert keys.size == first.size == inverse.size == 0
@@ -292,3 +297,35 @@ class TestUniqueRows:
                 assert row_key(code) == expected_key(code), n
             assert row_key(s) != row_key(longer), n
             assert row_key(s) != row_key(longest), n
+
+
+WORD_BOUNDARY_LENGTHS = [2, 16, 63, 64, 65, 100, 128, 256]
+
+
+class TestPackCodes:
+    @pytest.mark.parametrize("n", WORD_BOUNDARY_LENGTHS)
+    def test_round_trip_and_reference_bytes(self, n):
+        codes = random_codes(50, n, np.random.default_rng(n))
+        words = pack_codes(codes)
+        assert words.dtype == np.uint64 and words.shape == (50, n // 64 + 1)
+        back = unpack_codes(words)
+        assert back.dtype == np.int8 and np.array_equal(back, codes)
+        assert [row.astype(">u8").tobytes() for row in words] == [packed_key(c) for c in codes]
+
+    @pytest.mark.parametrize("n", [64, 130])
+    def test_head_masks_cover_the_first_symbols(self, n):
+        W = n // 64 + 1
+        splits = np.arange(n + 1)
+        bits = np.unpackbits(head_masks(splits, W).astype(">u8").view(np.uint8), axis=1)
+        assert np.array_equal(bits, np.arange(64 * W) < splits[:, None])
+
+    @pytest.mark.parametrize("n", [16, 130])
+    def test_symbol_bits_flip_one_symbol(self, n):
+        code = random_code(n, np.random.default_rng(32))
+        for p in range(n):
+            words = pack_codes(code[None])
+            word, bit = symbol_bits(np.array([p]))
+            words[0, word] ^= bit
+            flipped = code.copy()
+            flipped[p] *= -1
+            assert np.array_equal(unpack_codes(words)[0], flipped), p

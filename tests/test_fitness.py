@@ -23,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 import phasecode
 from phasecode import baselines, ga
 from phasecode.cli import main
-from phasecode.codes import as_code, lag_responses, shifted
+from phasecode.codes import as_code, lag_responses, pack_codes, shifted
 from phasecode.echo import empirical_sir
 from phasecode.fitness import (
     build_clutter_matrix,
@@ -624,10 +624,10 @@ class TestFitnessCache:
         cache = ScoreCache()
         rng = np.random.default_rng(0)
         s = random_code(12, rng)[None, :]
-        first, _ = score_codes(s, cache)
+        first, _ = score_codes(pack_codes(s), cache)
         # The second lookup must not score again.
         monkeypatch.setattr(ga, "fitness_batch", None)
-        second, _ = score_codes(s, cache)
+        second, _ = score_codes(pack_codes(s), cache)
         assert len(cache) == 1
         # bit-identical stored score
         assert first.tobytes() == second.tobytes()
@@ -637,17 +637,17 @@ class TestFitnessCache:
         n = 12
         bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
         codes = (2 * bits - 1).astype(np.int8)
-        assert score_codes(codes, cache)[1] == 4096
+        assert score_codes(pack_codes(codes), cache)[1] == 4096
         assert len(cache) == 4096
-        assert score_codes(codes[::-1], cache)[1] == 4096
+        assert score_codes(pack_codes(codes[::-1]), cache)[1] == 4096
         assert len(cache) == 4096
 
     def test_exact_keys_by_default(self):
         cache = ScoreCache()
         rng = np.random.default_rng(1)
         s = random_code(16, rng)[None, :]
-        score_codes(s, cache)
-        score_codes(-s, cache)
+        score_codes(pack_codes(s), cache)
+        score_codes(pack_codes(-s), cache)
         assert len(cache) == 2
 
     def test_lengths_share_a_cache_only_within_one_key_width(self):
@@ -655,9 +655,9 @@ class TestFitnessCache:
         cache = ScoreCache()
         s = random_code(20, rng)
         longer = np.append(s, -1).astype(np.int8)
-        score_codes(s[None, :], cache)
-        score_codes(longer[None, :], cache)
+        score_codes(pack_codes(s[None, :]), cache)
+        score_codes(pack_codes(longer[None, :]), cache)
         assert len(cache) == 2
         with pytest.raises(ValueError, match="score cache holds"):
-            score_codes(random_code(64, rng)[None, :], cache)
+            score_codes(pack_codes(random_code(64, rng)[None, :]), cache)
         assert len(cache) == 2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phasecode import ga
-from phasecode.codes import as_code, unique_rows
+from phasecode.codes import as_code, pack_codes, random_codes, unique_rows, unpack_codes
 from phasecode.fitness import fitness, fitness_batch
 from phasecode.ga import (
     GaConfig,
@@ -33,8 +33,12 @@ from reference import (
     crossover_formula,
     draw_tournament_indices_formula,
     elite_select_formula,
+    mutate_formula,
     packed_key,
+    prevent_early_convergence_formula,
     random_code,
+    score_codes_formula,
+    step_generation_formula,
     survival_probability,
     tournament_win_probability,
 )
@@ -47,12 +51,13 @@ def small_config(**overrides):
 
 
 def evaluated_population(codes):
-    return evaluate(np.asarray(codes, dtype=np.int8), ScoreCache())
+    return evaluate(pack_codes(np.asarray(codes, dtype=np.int8)), ScoreCache())
 
 
 def ranked_population(codes, gammas):
     """A population of ``codes`` with the given gammas, as if scored."""
-    return Population(0, codes, np.asarray(gammas, dtype=float), len(unique_rows(codes)[0]))
+    words = pack_codes(codes)
+    return Population(0, words, np.asarray(gammas, dtype=float), len(unique_rows(words)[0]))
 
 
 class TestGaConfig:
@@ -97,7 +102,7 @@ class TestInitPopulation:
         from phasecode.baselines import known_code
 
         cfg = small_config(N=59, init="known")
-        codes = init_population(cfg, np.random.default_rng(cfg.seed))
+        codes = unpack_codes(init_population(cfg, np.random.default_rng(cfg.seed)))
         assert codes.shape == (60, 59)
         # The registry minus the GA's own code, in registry order.
         want = [known_code(name).code.tolist() for name in ("legendre", "alphaseq", "hpgan")]
@@ -111,7 +116,7 @@ class TestInitPopulation:
 
     def test_symbol_mean_near_zero_at_scale(self):
         cfg = GaConfig(N=59, P=10_000, E=2_000)
-        codes = init_population(cfg, np.random.default_rng(3))
+        codes = unpack_codes(init_population(cfg, np.random.default_rng(3)))
         assert abs(float(codes.mean())) <= 0.01
 
 
@@ -120,7 +125,7 @@ class TestEvaluate:
         rng = np.random.default_rng(1)
         code = random_code(12, rng)
         cache = ScoreCache()
-        pop = evaluate(np.tile(code, (30, 1)), cache)
+        pop = evaluate(pack_codes(np.tile(code, (30, 1))), cache)
         assert len(cache) == 1 and pop.distinct_members == 1
         assert np.allclose(pop.gammas, pop.gammas[0])
 
@@ -130,7 +135,7 @@ class TestEvaluate:
         s_ga = known_code("ga").code
         rng = np.random.default_rng(2)
         codes = np.vstack([s_ga, *(random_code(59, rng) for _ in range(9))])
-        pop = evaluate(codes, ScoreCache())
+        pop = evaluate(pack_codes(codes), ScoreCache())
         assert pop.gammas[0] == pytest.approx(50.84, abs=0.01)
 
     def test_reevaluation_adds_no_misses(self):
@@ -138,7 +143,7 @@ class TestEvaluate:
         cache = ScoreCache()
         pop = evaluate(init_population(cfg, np.random.default_rng(0)), cache)
         keys, gammas = cache.keys.tolist(), cache.gammas.copy()
-        evaluate(pop.codes, cache)
+        evaluate(pop.words, cache)
         assert cache.keys.tolist() == keys
         assert np.array_equal(cache.gammas, gammas, equal_nan=True)
 
@@ -148,7 +153,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(3)
         codes = np.stack([random_code(12, rng) for _ in range(3)])
         pop = ranked_population(codes, [3.0, 1.0, 2.0])
-        elites = elite_select(pop, 2)
+        elites = unpack_codes(elite_select(pop, 2))
         assert np.array_equal(elites[0], codes[0])
         assert np.array_equal(elites[1], codes[2])
 
@@ -156,7 +161,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(4)
         codes = np.stack([random_code(12, rng) for _ in range(6)])
         pop = evaluated_population(codes)
-        elites = elite_select(pop, 5)
+        elites = unpack_codes(elite_select(pop, 5))
         order = np.argsort(-pop.gammas, kind="stable")
         assert np.array_equal(elites, codes[order[:5]])
 
@@ -164,7 +169,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(5)
         codes = np.stack([random_code(12, rng) for _ in range(1000)])
         pop = evaluated_population(codes)
-        elites = elite_select(pop, 10)
+        elites = unpack_codes(elite_select(pop, 10))
         oracle = sorted(range(1000), key=lambda i: (-pop.gammas[i], i))[:10]
         assert np.array_equal(elites, codes[oracle])
 
@@ -172,7 +177,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(6)
         codes = np.stack([random_code(12, rng) for _ in range(4)])
         pop = ranked_population(codes, [1.0, float("-inf"), 2.0, float("-inf")])
-        elites = elite_select(pop, 2)
+        elites = unpack_codes(elite_select(pop, 2))
         assert np.array_equal(elites[0], codes[2])
         assert np.array_equal(elites[1], codes[0])
 
@@ -183,10 +188,11 @@ class TestEliteSelect:
         rng = np.random.default_rng(15)
         values = np.array([3.0, 2.0, 1.0, float("-inf")])
         gammas = values[rng.permutation(np.repeat(np.arange(4), 250))]
-        pop = ranked_population(np.stack([random_code(12, rng) for _ in range(1000)]), gammas)
-        elites = elite_select(pop, E)
+        codes = np.stack([random_code(12, rng) for _ in range(1000)])
+        pop = ranked_population(codes, gammas)
+        elites = unpack_codes(elite_select(pop, E))
         assert elites.dtype == np.int8
-        assert np.array_equal(elites, elite_select_formula(pop.codes, gammas, E))
+        assert np.array_equal(elites, elite_select_formula(codes, gammas, E))
 
 
 class TestTournamentSelect:
@@ -195,7 +201,7 @@ class TestTournamentSelect:
         codes = np.stack([random_code(12, rng) for _ in range(8)])
         pop = evaluated_population(codes)
         best = codes[int(np.argmax(pop.gammas))]
-        winners = tournament_select(pop, 8, 20, np.random.default_rng(0))
+        winners = unpack_codes(tournament_select(pop, 8, 20, np.random.default_rng(0)))
         assert all(np.array_equal(w, best) for w in winners)
 
     def test_single_draw_tournament_is_uniform(self):
@@ -332,7 +338,7 @@ class TestCrossover:
         a = as_code([1, -1, 1, -1, 1, -1, 1])
         b = as_code([-1, -1, -1, 1, 1, 1, 1])
         pool = np.stack([a, b])
-        children = crossover(pool, 2000, np.random.default_rng(10))
+        children = unpack_codes(crossover(pack_codes(pool), 2000, 7, np.random.default_rng(10)))
         ia, ib, splits = replay_crossover(pool, 2000, 10)
         for child, i, j, split in zip(children, ia, ib, splits):
             assert child.tolist() == pool[i, :split].tolist() + pool[j, split:].tolist()
@@ -345,7 +351,7 @@ class TestCrossover:
     def test_matches_where_formula(self, n):
         rng = np.random.default_rng(17)
         pool = np.stack([random_code(n, rng) for _ in range(300)])
-        children = crossover(pool, 1000, np.random.default_rng(18))
+        children = unpack_codes(crossover(pack_codes(pool), 1000, n, np.random.default_rng(18)))
         expected = crossover_formula(pool, 1000, np.random.default_rng(18))
         assert children.dtype == expected.dtype == np.int8
         assert np.array_equal(children, expected)
@@ -353,13 +359,13 @@ class TestCrossover:
     def test_self_crossover_identity(self):
         rng = np.random.default_rng(12)
         s = random_code(20, rng)
-        children = crossover(s[None, :], 500, rng)
+        children = unpack_codes(crossover(pack_codes(s[None, :]), 500, 20, rng))
         assert children.dtype == np.int8
         assert all(np.array_equal(child, s) for child in children)
 
     def test_split_one_keeps_only_first_symbol_of_a(self):
         pool = np.stack([as_code([1] * 6), as_code([-1] * 6)])
-        children = crossover(pool, 2000, np.random.default_rng(11))
+        children = unpack_codes(crossover(pack_codes(pool), 2000, 6, np.random.default_rng(11)))
         ia, ib, splits = replay_crossover(pool, 2000, 11)
         boundary = (ia == 0) & (ib == 1) & (splits == 1)
         assert boundary.any()
@@ -371,7 +377,7 @@ class TestCrossover:
         # the child: it is the length of the leading run.
         n, draws = 8, 70_000
         pool = np.stack([as_code([1] * n), as_code([-1] * n)])
-        children = crossover(pool, 150_000, np.random.default_rng(13))
+        children = unpack_codes(crossover(pack_codes(pool), 150_000, n, np.random.default_rng(13)))
         mixed = children[children[:, 0] != children[:, -1]]
         assert mixed.shape[0] >= draws
         splits = np.sum(mixed[:draws] == mixed[:draws, :1], axis=1)
@@ -383,24 +389,47 @@ class TestCrossover:
         assert chi2 < 22.46
 
 
+WORD_BOUNDARY_LENGTHS = [2, 16, 63, 64, 65, 100, 128, 256]
+
+
+class TestWordOperators:
+    """The packed crossover and mutation against the int8 formulas, on the same draws."""
+
+    @pytest.mark.parametrize("n", WORD_BOUNDARY_LENGTHS)
+    def test_crossover_matches_formula(self, n):
+        pool = random_codes(300, n, np.random.default_rng(40))
+        rng, ref = np.random.default_rng(41), np.random.default_rng(41)
+        children = unpack_codes(crossover(pack_codes(pool), 1000, n, rng))
+        assert np.array_equal(children, crossover_formula(pool, 1000, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", WORD_BOUNDARY_LENGTHS)
+    def test_mutate_matches_formula(self, n):
+        children = random_codes(1000, n, np.random.default_rng(42))
+        rng, ref = np.random.default_rng(43), np.random.default_rng(43)
+        out = unpack_codes(mutate(pack_codes(children), 0.5, n, rng))
+        assert np.array_equal(out, mutate_formula(children.copy(), 0.5, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestMutate:
     def test_zero_probability_is_identity(self):
         rng = np.random.default_rng(14)
         s = random_code(30, rng)
-        out = mutate(np.tile(s, (100, 1)), 0.0, rng)
+        out = unpack_codes(mutate(pack_codes(np.tile(s, (100, 1))), 0.0, 30, rng))
         assert np.array_equal(out, np.tile(s, (100, 1)))
 
     def test_unit_probability_flips_exactly_one(self):
         rng = np.random.default_rng(15)
         s = random_code(30, rng)
-        out = mutate(np.tile(s, (200, 1)), 1.0, rng)
+        out = unpack_codes(mutate(pack_codes(np.tile(s, (200, 1))), 1.0, 30, rng))
         assert np.all(np.sum(out != s, axis=1) == 1)
 
     def test_flip_position_uniform(self):
         n, draws = 13, 100_000
         rng = np.random.default_rng(16)
         s = random_code(n, rng)
-        flipped = mutate(np.tile(s, (draws, 1)), 1.0, rng) != s
+        flipped = unpack_codes(mutate(pack_codes(np.tile(s, (draws, 1))), 1.0, n, rng)) != s
         assert np.all(flipped.sum(axis=1) == 1)
         counts = np.bincount(np.argmax(flipped, axis=1), minlength=n)
         expected = draws / n
@@ -413,14 +442,16 @@ class TestPreventEarlyConvergence:
     def test_keep_probability_one_changes_nothing(self):
         rng = np.random.default_rng(18)
         codes = np.stack([random_code(8, rng) for _ in range(5)] * 4)
-        out = prevent_early_convergence(codes, 1.0, np.random.default_rng(0))
+        out = prevent_early_convergence(pack_codes(codes), 1.0, np.random.default_rng(0))
+        out = unpack_codes(out)
         assert np.array_equal(out, codes)
 
     def test_keep_probability_zero_deduplicates(self):
         rng = np.random.default_rng(19)
         distinct = [random_code(8, rng) for _ in range(5)]
         codes = np.stack(distinct * 3)
-        out = prevent_early_convergence(codes, 0.0, np.random.default_rng(0))
+        out = prevent_early_convergence(pack_codes(codes), 0.0, np.random.default_rng(0))
+        out = unpack_codes(out)
         assert out.shape[0] == 5
         for kept, original in zip(out, distinct):
             assert np.array_equal(kept, original)
@@ -428,7 +459,7 @@ class TestPreventEarlyConvergence:
     def test_first_occurrence_always_survives(self):
         rng = np.random.default_rng(20)
         code = random_code(8, rng)
-        block = np.tile(code, (11, 1))
+        block = pack_codes(np.tile(code, (11, 1)))
         for trial in range(50):
             out = prevent_early_convergence(block, 0.0, np.random.default_rng(trial))
             assert out.shape[0] == 1
@@ -437,14 +468,15 @@ class TestPreventEarlyConvergence:
         rng = np.random.default_rng(21)
         a, b = random_code(8, rng), random_code(8, rng)
         codes = np.stack([a, b, a, b, a])
-        out = prevent_early_convergence(codes, 1.0, np.random.default_rng(0))
+        out = prevent_early_convergence(pack_codes(codes), 1.0, np.random.default_rng(0))
+        out = unpack_codes(out)
         assert np.array_equal(out, codes)
 
     def test_expected_retention(self):
         # G=11 copies at keep rate 0.7: expected kept 1 + 10*0.7 = 8 (quick check;
         # the tighter +-0.1 bound over 1e5 replications runs in the acceptance suite)
         rng = np.random.default_rng(22)
-        block = np.tile(random_code(8, rng), (11, 1))
+        block = pack_codes(np.tile(random_code(8, rng), (11, 1)))
         draw = np.random.default_rng(23)
         kept = [prevent_early_convergence(block, 0.7, draw).shape[0] for _ in range(20_000)]
         assert float(np.mean(kept)) == pytest.approx(8.0, abs=0.05)
@@ -452,23 +484,13 @@ class TestPreventEarlyConvergence:
     @pytest.mark.parametrize("p_conv", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("rows,pool", [(0, 1), (1, 1), (200, 3), (500, 40), (64, 64)])
     def test_matches_per_row_loop(self, p_conv, rows, pool):
-        def reference(arr, p_conv, rng):
-            seen, keep = set(), []
-            for idx in range(arr.shape[0]):
-                k = arr[idx].tobytes()
-                if k not in seen:
-                    seen.add(k)
-                    keep.append(idx)
-                elif rng.random() < p_conv:
-                    keep.append(idx)
-            return arr[keep]
-
         rng = np.random.default_rng(24 + rows)
         distinct = np.stack([random_code(10, rng) for _ in range(pool)])
         block = distinct[rng.integers(0, pool, size=rows)]
         ref_rng, rng = np.random.default_rng(25), np.random.default_rng(25)
-        expected = reference(block, p_conv, ref_rng)
-        assert np.array_equal(prevent_early_convergence(block, p_conv, rng), expected)
+        expected = prevent_early_convergence_formula(block, p_conv, ref_rng)
+        out = prevent_early_convergence(pack_codes(block), p_conv, rng)
+        assert np.array_equal(out, pack_codes(expected))
         assert rng.random() == ref_rng.random()
 
 
@@ -517,7 +539,7 @@ class TestScoreCodes:
                 rows = {row.tobytes() for row in block}
                 new = rows - scored.keys()
                 calls = len(batches)
-                gammas, count = score_codes(block, cache)
+                gammas, count = score_codes(pack_codes(block), cache)
                 want = [scored[row.tobytes()] for row in block]
                 assert gammas.tolist() == [-math.inf if math.isnan(g) else g for g in want]
                 assert count == len(rows)
@@ -539,7 +561,7 @@ class TestScoreCodes:
         for _ in range(3):
             block = distinct[rng.integers(0, 30, size=50)]
             before = len(cache)
-            gammas, count = score_codes(block, cache)
+            gammas, count = score_codes(pack_codes(block), cache)
             for row, g in zip(block, gammas):
                 assert g == pytest.approx(fitness(row), rel=1e-12)
             rows = {r.tobytes() for r in block}
@@ -555,7 +577,7 @@ class TestScoreCodes:
         distinct = np.stack([random_code(12, rng) for _ in range(6)])
         block = distinct[rng.integers(0, 6, size=40)]
         undefined = block[0]
-        cache = ScoreCache(unique_rows(undefined[None])[0], np.array([np.nan]))
+        cache = ScoreCache(unique_rows(pack_codes(undefined[None]))[0], np.array([np.nan]))
         scored = []
 
         def recording_batch(codes):
@@ -563,7 +585,7 @@ class TestScoreCodes:
             return fitness_batch(codes)
 
         monkeypatch.setattr(ga, "fitness_batch", recording_batch)
-        gammas, _ = score_codes(block, cache)
+        gammas, _ = score_codes(pack_codes(block), cache)
         is_undefined = (block == undefined).all(axis=1)
         assert np.all(gammas[is_undefined] == -np.inf)
         assert np.all(np.isfinite(gammas[~is_undefined]))
@@ -577,11 +599,12 @@ class TestPadPopulation:
     def test_full_input_unchanged(self):
         rng = np.random.default_rng(24)
         codes = np.stack([random_code(8, rng) for _ in range(10)])
-        out = pad_population(codes, 10, np.random.default_rng(0))
+        out = unpack_codes(pad_population(pack_codes(codes), 10, 8, np.random.default_rng(0)))
         assert np.array_equal(out, codes)
 
     def test_empty_input_fully_random(self):
-        out = pad_population(np.empty((0, 8), dtype=np.int8), 50, np.random.default_rng(1))
+        empty = pack_codes(np.empty((0, 8), dtype=np.int8))
+        out = unpack_codes(pad_population(empty, 50, 8, np.random.default_rng(1)))
         assert out.shape == (50, 8)
         assert set(np.unique(out)) == {-1, 1}
 
@@ -589,10 +612,11 @@ class TestPadPopulation:
         rng = np.random.default_rng(25)
         codes = np.stack([random_code(8, rng) for _ in range(5)])
         with pytest.raises(RuntimeError):
-            pad_population(codes, 4, np.random.default_rng(0))
+            pad_population(pack_codes(codes), 4, 8, np.random.default_rng(0))
 
     def test_padded_symbols_balanced(self):
-        out = pad_population(np.empty((0, 59), dtype=np.int8), 5000, np.random.default_rng(2))
+        empty = pack_codes(np.empty((0, 59), dtype=np.int8))
+        out = unpack_codes(pad_population(empty, 5000, 59, np.random.default_rng(2)))
         assert abs(float(out.mean())) <= 0.015
 
 
@@ -604,8 +628,9 @@ class TestStepGeneration:
         pop = evaluate(init_population(cfg, rng), cache)
         for _ in range(100):
             pop = step_generation(pop, cfg, cache, rng)
-            assert pop.codes.shape == (cfg.P, cfg.N)
-            assert set(np.unique(pop.codes)) <= {-1, 1}
+            codes = unpack_codes(pop.words)
+            assert codes.shape == (cfg.P, cfg.N)
+            assert set(np.unique(codes)) <= {-1, 1}
 
     def test_elitism_makes_best_monotone(self):
         cfg = small_config(N_G=50)
@@ -625,10 +650,34 @@ class TestStepGeneration:
         cfg = small_config(p_muta=0.0, p_conv=1.0)
         rng = np.random.default_rng(2)
         code = random_code(cfg.N, rng)
-        pop = evaluate(np.tile(code, (cfg.P, 1)), ScoreCache())
+        pop = evaluate(pack_codes(np.tile(code, (cfg.P, 1))), ScoreCache())
         nxt = step_generation(pop, cfg, ScoreCache(), np.random.default_rng(3))
-        assert nxt.codes.shape == (cfg.P, cfg.N)
-        assert all(np.array_equal(row, code) for row in nxt.codes)
+        codes = unpack_codes(nxt.words)
+        assert codes.shape == (cfg.P, cfg.N)
+        assert all(np.array_equal(row, code) for row in codes)
+
+
+    @pytest.mark.parametrize("n", [16, 64, 100])
+    def test_matches_int8_formula(self, n):
+        # Eight generations beside the int8 oracle, which shares no bit
+        # handling with the packed step: the same codes, gammas, distinct
+        # counts and cache size after every generation.
+        cfg = small_config(N=n, P=200, E=40)
+        rng, ref = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+        cache, ref_cache = ScoreCache(), {}
+        pop = evaluate(init_population(cfg, rng), cache)
+        codes = random_codes(cfg.P, n, ref)
+        gammas, distinct = score_codes_formula(codes, ref_cache)
+        for k in range(9):
+            if k:
+                pop = step_generation(pop, cfg, cache, rng)
+                codes, gammas, distinct = step_generation_formula(
+                    codes, gammas, cfg, ref_cache, ref
+                )
+            assert np.array_equal(unpack_codes(pop.words), codes), k
+            assert np.array_equal(pop.gammas, gammas), k
+            assert pop.distinct_members == distinct, k
+            assert len(cache) == len(ref_cache), k
 
 
 class TestRun:
@@ -719,11 +768,11 @@ class TestRunCounts:
         rng = np.random.default_rng(cfg.seed)
         cache = ScoreCache()
         pop = evaluate(init_population(cfg, rng), cache)
-        seen = {row.tobytes() for row in pop.codes}
+        seen = {row.tobytes() for row in pop.words}
         visited = [len(seen)]
         for _ in range(cfg.N_G):
             pop = step_generation(pop, cfg, cache, rng)
-            seen |= {row.tobytes() for row in pop.codes}
+            seen |= {row.tobytes() for row in pop.words}
             visited.append(len(seen))
         assert [st.visited_states for st in res.history] == visited
         assert res.total_visited_states == len(seen) == len(cache)
