@@ -8,9 +8,9 @@ makes ``x . shifted(s, i)`` the aperiodic cross-correlation at lag i and
 gives the adjoint identity  <x, shifted(s, i)> = <shifted(x, -i), s>.
 
 The genetic search keeps its codes packed, one sign bit per symbol in
-64-bit words (``pack_codes``); this module alone knows that bit layout, and
-gives the other modules its operations: pack, unpack, crossover head masks,
-single-symbol bits and row deduplication.
+ceil(N / 64) 64-bit words (``pack_codes``); this module alone knows that
+bit layout, and gives the other modules its operations: pack, unpack (given
+N), crossover head masks, single-symbol bits and row deduplication.
 """
 
 from __future__ import annotations
@@ -49,34 +49,28 @@ def as_code(values) -> PhaseCode:
 
 
 def pack_codes(codes: np.ndarray) -> np.ndarray:
-    """(B, W) native ``uint64`` words of a (B, N) code matrix, W = N // 64 + 1.
+    """(B, W) native ``uint64`` words of a (B, N) code matrix, W = ceil(N / 64).
 
     This is the packed form the genetic search works on and the score
     cache's key. Each row is the ``np.packbits`` of its N sign bits (+1 as
-    1), then a 1 stop bit, then zero padding to 64 W bits, read as W
-    big-endian words: symbol p is bit 63 - p % 64 of word p // 64, so word
-    order and integer order are the bit-string order, and the words'
-    big-endian bytes are the packed bytes on every platform. The stop bit
-    keeps a code from colliding with the same code extended by -1 symbols:
-    the words are one-to-one across code lengths, and they give the length
-    back (``unpack_codes``).
+    1), zero-padded to 64 W bits and read as W big-endian words: symbol p
+    is bit 63 - p % 64 of word p // 64, so word order and integer order are
+    the bit-string order, and the words' big-endian bytes are the packed
+    bytes on every platform. The words do not record N, so rows of one
+    length only are compared and unpacked together.
     """
     b, n = codes.shape
-    bits = np.zeros((b, 64 * (n // 64 + 1)), dtype=bool)
+    bits = np.zeros((b, 64 * -(-n // 64)), dtype=bool)
     bits[:, :n] = codes > 0
-    bits[:, n] = True
     return np.packbits(bits, axis=1).view(">u8").astype(np.uint64)
 
 
-def unpack_codes(words: np.ndarray) -> np.ndarray:
-    """The (B, N) int8 codes of ``pack_codes`` words whose rows share one length.
-
-    N is read from the stop bit of the first row, which must exist: it is
-    the lowest set bit of the last word.
-    """
-    last = int(words[0, -1])
-    n = 64 * words.shape[1] - (last & -last).bit_length()
-    bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=n)
+def unpack_codes(words: np.ndarray, N: int) -> np.ndarray:
+    """The (B, N) int8 codes of (B, W) ``pack_codes`` words of length-N codes."""
+    W = -(-N // 64)
+    if words.shape[1] != W:
+        raise ValueError(f"length-{N} codes pack into {W} words, got {words.shape[1]}")
+    bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=N)
     return 2 * bits.view(CODE_DTYPE) - 1
 
 
@@ -101,7 +95,7 @@ def unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``keys`` (each distinct row's key, ascending and distinct),
     ``first`` (the index of each distinct row's first occurrence) and
     ``inverse`` (the distinct-row number of every row), so
-    ``words[first][inverse]`` equals ``words``. A one-word key (N <= 63) is
+    ``words[first][inverse]`` equals ``words``. A one-word key (N <= 64) is
     that word, which numpy sorts and searches as a plain integer; a wider
     key is the 8 W big-endian bytes of its words as one void (``tolist``
     gives the bytes). Both order keys as bit strings.

@@ -8,9 +8,9 @@ from one sequential generator in the fixed order listed in
 ``step_generation``, so runs are reproducible from the seed alone and the
 evaluation phase consumes no randomness.
 
-The population is kept packed, one ``codes.pack_codes`` row of W = N // 64
-+ 1 words per member, which is also the score cache's key: elites and
-tournament winners are row gathers, crossover and mutation are bit
+The population is kept packed, one ``codes.pack_codes`` row of
+W = ceil(N / 64) words per member, which is also the score cache's key:
+elites and tournament winners are row gathers, crossover and mutation are bit
 operations on the words, and thinning and scoring deduplicate the words
 directly. Only new codes are packed (generation 0 and the padding), and
 only codes the cache misses, and the best code, are unpacked.
@@ -163,17 +163,22 @@ def init_population(config: GaConfig, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class ScoreCache:
-    """Every distinct code scored so far, as two parallel arrays.
+    """Every distinct length-N code scored so far, as two parallel arrays.
 
-    ``keys`` holds the ``codes.unique_rows`` keys in ascending order, all of
-    one dtype (codes whose lengths share N // 64), and ``gammas`` the
-    matching gammas, NaN where undefined. So ``len(cache)`` is the number
-    of distinct codes ever scored: the "visited states" (a code and its
-    negation are two).
+    ``keys`` holds the ``codes.unique_rows`` keys in ascending order, and
+    ``gammas`` the matching gammas, NaN where undefined. So ``len(cache)``
+    is the number of distinct codes ever scored: the "visited states" (a
+    code and its negation are two). ``score_codes`` rejects rows that are
+    not ceil(N / 64) words wide.
     """
 
-    keys: np.ndarray = field(default_factory=lambda: np.empty(0, "V8"))
-    gammas: np.ndarray = field(default_factory=lambda: np.empty(0))
+    N: int
+    keys: np.ndarray = field(init=False)
+    gammas: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.keys = unique_rows(pack_codes(np.empty((0, self.N), CODE_DTYPE)))[0]
+        self.gammas = np.empty(0)
 
     def __len__(self) -> int:
         return self.keys.size
@@ -190,8 +195,6 @@ def score_codes(words: np.ndarray, cache: ScoreCache) -> tuple[np.ndarray, int]:
     the cache sorted.
     """
     keys, first, inverse = unique_rows(words)
-    if not len(cache):
-        cache.keys = keys[:0]  # an empty cache takes its key dtype from its first codes
     if cache.keys.dtype != keys.dtype:
         raise ValueError(f"score cache holds {cache.keys.dtype} keys, got {keys.dtype}")
     pos = np.searchsorted(cache.keys, keys)
@@ -201,7 +204,7 @@ def score_codes(words: np.ndarray, cache: ScoreCache) -> tuple[np.ndarray, int]:
     gammas[hit] = cache.gammas[pos[hit]]
     miss = np.flatnonzero(~hit)
     if miss.size:
-        gammas[miss] = fitness_batch(unpack_codes(words[first[miss]]))
+        gammas[miss] = fitness_batch(unpack_codes(words[first[miss]], cache.N))
         cache.keys = np.insert(cache.keys, pos[miss], keys[miss])
         cache.gammas = np.insert(cache.gammas, pos[miss], gammas[miss])
     return np.where(np.isnan(gammas), -np.inf, gammas)[inverse], keys.size
@@ -308,10 +311,10 @@ def pad_population(words: np.ndarray, P: int, N: int, rng: np.random.Generator) 
 def crossover(pool: np.ndarray, count: int, N: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` single-point crossover children of a (B, W) packed pool of length-N codes.
 
-    Child i takes its first ``split`` symbols from parent a and the rest,
-    stop bit included, from parent b. Draws, in order: every parent a,
-    every parent b, every split, each uniform (split on [1, N)). Each child
-    is ``b ^ ((a ^ b) & head)``, that is ``(a & head) | (b & ~head)``, with
+    Child i takes its first ``split`` symbols from parent a and the rest
+    from parent b. Draws, in order: every parent a, every parent b, every
+    split, each uniform (split on [1, N)). Each child is
+    ``b ^ ((a ^ b) & head)``, that is ``(a & head) | (b & ~head)``, with
     ``head`` the words of its first ``split`` symbols (``codes.head_masks``).
     """
     size, W = pool.shape
@@ -398,7 +401,7 @@ def run(
     """
     check_stop_gamma(stop_gamma)
     rng = np.random.default_rng(config.seed)
-    cache = ScoreCache()
+    cache = ScoreCache(config.N)
     t0 = time.perf_counter()
     history: list[GenerationStats] = []
     best_code, best_gamma = None, -math.inf
@@ -408,7 +411,7 @@ def run(
         idx = int(np.argmax(pop.gammas))
         if best_code is None or pop.gammas[idx] > best_gamma:
             best_gamma = float(pop.gammas[idx])
-            best_code = unpack_codes(pop.words[idx : idx + 1])[0]
+            best_code = unpack_codes(pop.words[idx : idx + 1], config.N)[0]
         history.append(_population_stats(pop, len(cache), t0))
         if on_generation:
             on_generation(history[-1])
@@ -443,7 +446,7 @@ def random_search(N: int, budget: int, rng: np.random.Generator) -> RunResult:
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    cache = ScoreCache()
+    cache = ScoreCache(N)
     t0 = time.perf_counter()
     history: list[GenerationStats] = []
     best_gamma = float("-inf")

@@ -64,11 +64,11 @@ def survival_probability(P: int, M: int, i: int, E: int) -> float:
 
 
 def packed_key(code):
-    """Reference key: the sign bits, a 1 stop bit and zero padding to whole
-    64-bit words, as big-endian bytes."""
+    """Reference key: the sign bits and zero padding to whole 64-bit words,
+    as big-endian bytes."""
     n = len(code)
-    bits = "".join("1" if v > 0 else "0" for v in code) + "1"
-    bits += "0" * (64 * (n // 64 + 1) - len(bits))
+    bits = "".join("1" if v > 0 else "0" for v in code)
+    bits += "0" * (64 * math.ceil(n / 64) - n)
     return int(bits, 2).to_bytes(len(bits) // 8, "big")
 
 

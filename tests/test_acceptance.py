@@ -176,7 +176,7 @@ class TestCriterion6OperatorStatistics:
         # identical codes, so a code cannot name its member.
         indices = tournament_indices(pop, M, draws, np.random.default_rng(61))
         winners = tournament_select(pop, M, draws, np.random.default_rng(61))
-        assert np.array_equal(unpack_codes(winners), codes[indices])
+        assert np.array_equal(unpack_codes(winners, 12), codes[indices])
         counts = np.bincount(indices, minlength=P)
         worst_z = 0.0
         for rank in range(1, P + 1):
@@ -201,7 +201,7 @@ class TestCriterion6OperatorStatistics:
         flips = 0
         rows, block = 1_000_000, 100_000
         for _ in range(rows // block):
-            out = unpack_codes(mutate(pack_codes(np.tile(s, (block, 1))), 0.3, 59, rng))
+            out = unpack_codes(mutate(pack_codes(np.tile(s, (block, 1))), 0.3, 59, rng), 59)
             flips += int(np.count_nonzero(out != s))
         rate = flips / rows
         ok = abs(rate - 0.3) <= 0.002

@@ -220,13 +220,8 @@ class TestAsCode:
             as_code([[1, -1], [1, 1]])
 
 
-def row_key(code):
-    """The key ``unique_rows`` gives a single code."""
-    return unique_rows(pack_codes(np.asarray(code)[None]))[0].tolist()[0]
-
-
 def expected_key(code):
-    """``packed_key`` as ``unique_rows`` returns it: a one-word key (N <= 63)
+    """``packed_key`` as ``unique_rows`` returns it: a one-word key (N <= 64)
     as the integer of its big-endian bytes, a wider key as the bytes."""
     key = packed_key(code)
     return int.from_bytes(key, "big") if len(key) == 8 else key
@@ -236,7 +231,7 @@ def _code_blocks():
     """(B, N) int8 code blocks, B up to 40, drawn from a few distinct rows so repeats are common.
 
     N runs to 200, so keys span one to four 64-bit words and cross the
-    63/64 and 127/128 word boundaries.
+    64/65 and 128/129 word boundaries.
     """
 
     def block(shape):
@@ -279,24 +274,12 @@ class TestUniqueRows:
         pool = np.stack([random_code(n, rng) for _ in range(50)])
         assert_matches_dict_of_bytes_reference(pool[rng.integers(0, 50, 20_000)])
 
-    @pytest.mark.parametrize("n, width", [(16, 8), (63, 8), (64, 16), (100, 16)])
+    @pytest.mark.parametrize("n, width", [(16, 8), (63, 8), (64, 8), (65, 16), (100, 16)])
     def test_empty_matrix(self, n, width):
         keys, first, inverse = unique_rows(pack_codes(np.empty((0, n), np.int8)))
         # A one-word key is a native uint64, a wider one a void of its bytes.
         assert keys.dtype == np.dtype(np.uint64 if width == 8 else f"V{width}")
         assert keys.size == first.size == inverse.size == 0
-
-    def test_key_is_one_to_one_across_lengths(self):
-        # At 63, 64 and 127 one or two trailing -1 symbols move the stop bit
-        # into the next key word.
-        for n in (9, 63, 64, 127):
-            s = random_code(n, np.random.default_rng(30))
-            longer = np.append(s, -1).astype(np.int8)
-            longest = np.append(longer, -1).astype(np.int8)
-            for code in (s, longer, longest):
-                assert row_key(code) == expected_key(code), n
-            assert row_key(s) != row_key(longer), n
-            assert row_key(s) != row_key(longest), n
 
 
 WORD_BOUNDARY_LENGTHS = [2, 16, 63, 64, 65, 100, 128, 256]
@@ -307,14 +290,24 @@ class TestPackCodes:
     def test_round_trip_and_reference_bytes(self, n):
         codes = random_codes(50, n, np.random.default_rng(n))
         words = pack_codes(codes)
-        assert words.dtype == np.uint64 and words.shape == (50, n // 64 + 1)
-        back = unpack_codes(words)
+        assert words.dtype == np.uint64 and words.shape == (50, -(-n // 64))
+        back = unpack_codes(words, n)
         assert back.dtype == np.int8 and np.array_equal(back, codes)
         assert [row.astype(">u8").tobytes() for row in words] == [packed_key(c) for c in codes]
 
+    @pytest.mark.parametrize("n", WORD_BOUNDARY_LENGTHS)
+    def test_unpack_of_no_rows_is_an_empty_code_matrix(self, n):
+        back = unpack_codes(np.empty((0, -(-n // 64)), np.uint64), n)
+        assert back.dtype == np.int8 and back.shape == (0, n)
+
+    @pytest.mark.parametrize("n, width", [(16, 2), (64, 2), (65, 1), (128, 3)])
+    def test_unpack_rejects_a_width_that_does_not_match_n(self, n, width):
+        with pytest.raises(ValueError, match=f"length-{n} codes pack into"):
+            unpack_codes(np.zeros((3, width), np.uint64), n)
+
     @pytest.mark.parametrize("n", [64, 130])
     def test_head_masks_cover_the_first_symbols(self, n):
-        W = n // 64 + 1
+        W = -(-n // 64)
         splits = np.arange(n + 1)
         bits = np.unpackbits(head_masks(splits, W).astype(">u8").view(np.uint8), axis=1)
         assert np.array_equal(bits, np.arange(64 * W) < splits[:, None])
@@ -328,4 +321,4 @@ class TestPackCodes:
             words[0, word] ^= bit
             flipped = code.copy()
             flipped[p] *= -1
-            assert np.array_equal(unpack_codes(words)[0], flipped), p
+            assert np.array_equal(unpack_codes(words, n)[0], flipped), p

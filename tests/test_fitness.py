@@ -621,7 +621,7 @@ class TestFitnessCache:
     """The score cache maps each ``unique_rows`` key to its gamma."""
 
     def test_repeat_lookup_is_a_hit(self, monkeypatch):
-        cache = ScoreCache()
+        cache = ScoreCache(12)
         rng = np.random.default_rng(0)
         s = random_code(12, rng)[None, :]
         first, _ = score_codes(pack_codes(s), cache)
@@ -633,7 +633,7 @@ class TestFitnessCache:
         assert first.tobytes() == second.tobytes()
 
     def test_counts_all_distinct_codes(self):
-        cache = ScoreCache()
+        cache = ScoreCache(12)
         n = 12
         bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
         codes = (2 * bits - 1).astype(np.int8)
@@ -643,21 +643,23 @@ class TestFitnessCache:
         assert len(cache) == 4096
 
     def test_exact_keys_by_default(self):
-        cache = ScoreCache()
+        cache = ScoreCache(16)
         rng = np.random.default_rng(1)
         s = random_code(16, rng)[None, :]
         score_codes(pack_codes(s), cache)
         score_codes(pack_codes(-s), cache)
         assert len(cache) == 2
 
-    def test_lengths_share_a_cache_only_within_one_key_width(self):
+    def test_rejects_rows_of_another_width(self):
+        # A length-20 cache holds one-word keys; length-65 codes pack into
+        # two words, and are refused on the first call as on any later one.
         rng = np.random.default_rng(2)
-        cache = ScoreCache()
-        s = random_code(20, rng)
-        longer = np.append(s, -1).astype(np.int8)
-        score_codes(pack_codes(s[None, :]), cache)
-        score_codes(pack_codes(longer[None, :]), cache)
-        assert len(cache) == 2
+        wide = pack_codes(random_code(65, rng)[None, :])
+        cache = ScoreCache(20)
         with pytest.raises(ValueError, match="score cache holds"):
-            score_codes(pack_codes(random_code(64, rng)[None, :]), cache)
-        assert len(cache) == 2
+            score_codes(wide, cache)
+        assert len(cache) == 0
+        score_codes(pack_codes(random_code(20, rng)[None, :]), cache)
+        with pytest.raises(ValueError, match="score cache holds"):
+            score_codes(wide, cache)
+        assert len(cache) == 1

@@ -51,7 +51,8 @@ def small_config(**overrides):
 
 
 def evaluated_population(codes):
-    return evaluate(pack_codes(np.asarray(codes, dtype=np.int8)), ScoreCache())
+    codes = np.asarray(codes, dtype=np.int8)
+    return evaluate(pack_codes(codes), ScoreCache(codes.shape[1]))
 
 
 def ranked_population(codes, gammas):
@@ -102,7 +103,7 @@ class TestInitPopulation:
         from phasecode.baselines import known_code
 
         cfg = small_config(N=59, init="known")
-        codes = unpack_codes(init_population(cfg, np.random.default_rng(cfg.seed)))
+        codes = unpack_codes(init_population(cfg, np.random.default_rng(cfg.seed)), 59)
         assert codes.shape == (60, 59)
         # The registry minus the GA's own code, in registry order.
         want = [known_code(name).code.tolist() for name in ("legendre", "alphaseq", "hpgan")]
@@ -116,7 +117,7 @@ class TestInitPopulation:
 
     def test_symbol_mean_near_zero_at_scale(self):
         cfg = GaConfig(N=59, P=10_000, E=2_000)
-        codes = unpack_codes(init_population(cfg, np.random.default_rng(3)))
+        codes = unpack_codes(init_population(cfg, np.random.default_rng(3)), 59)
         assert abs(float(codes.mean())) <= 0.01
 
 
@@ -124,7 +125,7 @@ class TestEvaluate:
     def test_identical_members_cost_one_miss(self):
         rng = np.random.default_rng(1)
         code = random_code(12, rng)
-        cache = ScoreCache()
+        cache = ScoreCache(12)
         pop = evaluate(pack_codes(np.tile(code, (30, 1))), cache)
         assert len(cache) == 1 and pop.distinct_members == 1
         assert np.allclose(pop.gammas, pop.gammas[0])
@@ -135,12 +136,12 @@ class TestEvaluate:
         s_ga = known_code("ga").code
         rng = np.random.default_rng(2)
         codes = np.vstack([s_ga, *(random_code(59, rng) for _ in range(9))])
-        pop = evaluate(pack_codes(codes), ScoreCache())
+        pop = evaluate(pack_codes(codes), ScoreCache(59))
         assert pop.gammas[0] == pytest.approx(50.84, abs=0.01)
 
     def test_reevaluation_adds_no_misses(self):
         cfg = small_config()
-        cache = ScoreCache()
+        cache = ScoreCache(cfg.N)
         pop = evaluate(init_population(cfg, np.random.default_rng(0)), cache)
         keys, gammas = cache.keys.tolist(), cache.gammas.copy()
         evaluate(pop.words, cache)
@@ -153,7 +154,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(3)
         codes = np.stack([random_code(12, rng) for _ in range(3)])
         pop = ranked_population(codes, [3.0, 1.0, 2.0])
-        elites = unpack_codes(elite_select(pop, 2))
+        elites = unpack_codes(elite_select(pop, 2), 12)
         assert np.array_equal(elites[0], codes[0])
         assert np.array_equal(elites[1], codes[2])
 
@@ -161,7 +162,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(4)
         codes = np.stack([random_code(12, rng) for _ in range(6)])
         pop = evaluated_population(codes)
-        elites = unpack_codes(elite_select(pop, 5))
+        elites = unpack_codes(elite_select(pop, 5), 12)
         order = np.argsort(-pop.gammas, kind="stable")
         assert np.array_equal(elites, codes[order[:5]])
 
@@ -169,7 +170,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(5)
         codes = np.stack([random_code(12, rng) for _ in range(1000)])
         pop = evaluated_population(codes)
-        elites = unpack_codes(elite_select(pop, 10))
+        elites = unpack_codes(elite_select(pop, 10), 12)
         oracle = sorted(range(1000), key=lambda i: (-pop.gammas[i], i))[:10]
         assert np.array_equal(elites, codes[oracle])
 
@@ -177,7 +178,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(6)
         codes = np.stack([random_code(12, rng) for _ in range(4)])
         pop = ranked_population(codes, [1.0, float("-inf"), 2.0, float("-inf")])
-        elites = unpack_codes(elite_select(pop, 2))
+        elites = unpack_codes(elite_select(pop, 2), 12)
         assert np.array_equal(elites[0], codes[2])
         assert np.array_equal(elites[1], codes[0])
 
@@ -190,7 +191,7 @@ class TestEliteSelect:
         gammas = values[rng.permutation(np.repeat(np.arange(4), 250))]
         codes = np.stack([random_code(12, rng) for _ in range(1000)])
         pop = ranked_population(codes, gammas)
-        elites = unpack_codes(elite_select(pop, E))
+        elites = unpack_codes(elite_select(pop, E), 12)
         assert elites.dtype == np.int8
         assert np.array_equal(elites, elite_select_formula(codes, gammas, E))
 
@@ -201,7 +202,7 @@ class TestTournamentSelect:
         codes = np.stack([random_code(12, rng) for _ in range(8)])
         pop = evaluated_population(codes)
         best = codes[int(np.argmax(pop.gammas))]
-        winners = unpack_codes(tournament_select(pop, 8, 20, np.random.default_rng(0)))
+        winners = unpack_codes(tournament_select(pop, 8, 20, np.random.default_rng(0)), 12)
         assert all(np.array_equal(w, best) for w in winners)
 
     def test_single_draw_tournament_is_uniform(self):
@@ -338,7 +339,7 @@ class TestCrossover:
         a = as_code([1, -1, 1, -1, 1, -1, 1])
         b = as_code([-1, -1, -1, 1, 1, 1, 1])
         pool = np.stack([a, b])
-        children = unpack_codes(crossover(pack_codes(pool), 2000, 7, np.random.default_rng(10)))
+        children = unpack_codes(crossover(pack_codes(pool), 2000, 7, np.random.default_rng(10)), 7)
         ia, ib, splits = replay_crossover(pool, 2000, 10)
         for child, i, j, split in zip(children, ia, ib, splits):
             assert child.tolist() == pool[i, :split].tolist() + pool[j, split:].tolist()
@@ -351,7 +352,7 @@ class TestCrossover:
     def test_matches_where_formula(self, n):
         rng = np.random.default_rng(17)
         pool = np.stack([random_code(n, rng) for _ in range(300)])
-        children = unpack_codes(crossover(pack_codes(pool), 1000, n, np.random.default_rng(18)))
+        children = unpack_codes(crossover(pack_codes(pool), 1000, n, np.random.default_rng(18)), n)
         expected = crossover_formula(pool, 1000, np.random.default_rng(18))
         assert children.dtype == expected.dtype == np.int8
         assert np.array_equal(children, expected)
@@ -359,13 +360,13 @@ class TestCrossover:
     def test_self_crossover_identity(self):
         rng = np.random.default_rng(12)
         s = random_code(20, rng)
-        children = unpack_codes(crossover(pack_codes(s[None, :]), 500, 20, rng))
+        children = unpack_codes(crossover(pack_codes(s[None, :]), 500, 20, rng), 20)
         assert children.dtype == np.int8
         assert all(np.array_equal(child, s) for child in children)
 
     def test_split_one_keeps_only_first_symbol_of_a(self):
         pool = np.stack([as_code([1] * 6), as_code([-1] * 6)])
-        children = unpack_codes(crossover(pack_codes(pool), 2000, 6, np.random.default_rng(11)))
+        children = unpack_codes(crossover(pack_codes(pool), 2000, 6, np.random.default_rng(11)), 6)
         ia, ib, splits = replay_crossover(pool, 2000, 11)
         boundary = (ia == 0) & (ib == 1) & (splits == 1)
         assert boundary.any()
@@ -377,7 +378,9 @@ class TestCrossover:
         # the child: it is the length of the leading run.
         n, draws = 8, 70_000
         pool = np.stack([as_code([1] * n), as_code([-1] * n)])
-        children = unpack_codes(crossover(pack_codes(pool), 150_000, n, np.random.default_rng(13)))
+        children = unpack_codes(
+            crossover(pack_codes(pool), 150_000, n, np.random.default_rng(13)), n
+        )
         mixed = children[children[:, 0] != children[:, -1]]
         assert mixed.shape[0] >= draws
         splits = np.sum(mixed[:draws] == mixed[:draws, :1], axis=1)
@@ -399,7 +402,7 @@ class TestWordOperators:
     def test_crossover_matches_formula(self, n):
         pool = random_codes(300, n, np.random.default_rng(40))
         rng, ref = np.random.default_rng(41), np.random.default_rng(41)
-        children = unpack_codes(crossover(pack_codes(pool), 1000, n, rng))
+        children = unpack_codes(crossover(pack_codes(pool), 1000, n, rng), n)
         assert np.array_equal(children, crossover_formula(pool, 1000, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -407,7 +410,7 @@ class TestWordOperators:
     def test_mutate_matches_formula(self, n):
         children = random_codes(1000, n, np.random.default_rng(42))
         rng, ref = np.random.default_rng(43), np.random.default_rng(43)
-        out = unpack_codes(mutate(pack_codes(children), 0.5, n, rng))
+        out = unpack_codes(mutate(pack_codes(children), 0.5, n, rng), n)
         assert np.array_equal(out, mutate_formula(children.copy(), 0.5, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -416,20 +419,20 @@ class TestMutate:
     def test_zero_probability_is_identity(self):
         rng = np.random.default_rng(14)
         s = random_code(30, rng)
-        out = unpack_codes(mutate(pack_codes(np.tile(s, (100, 1))), 0.0, 30, rng))
+        out = unpack_codes(mutate(pack_codes(np.tile(s, (100, 1))), 0.0, 30, rng), 30)
         assert np.array_equal(out, np.tile(s, (100, 1)))
 
     def test_unit_probability_flips_exactly_one(self):
         rng = np.random.default_rng(15)
         s = random_code(30, rng)
-        out = unpack_codes(mutate(pack_codes(np.tile(s, (200, 1))), 1.0, 30, rng))
+        out = unpack_codes(mutate(pack_codes(np.tile(s, (200, 1))), 1.0, 30, rng), 30)
         assert np.all(np.sum(out != s, axis=1) == 1)
 
     def test_flip_position_uniform(self):
         n, draws = 13, 100_000
         rng = np.random.default_rng(16)
         s = random_code(n, rng)
-        flipped = unpack_codes(mutate(pack_codes(np.tile(s, (draws, 1))), 1.0, n, rng)) != s
+        flipped = unpack_codes(mutate(pack_codes(np.tile(s, (draws, 1))), 1.0, n, rng), n) != s
         assert np.all(flipped.sum(axis=1) == 1)
         counts = np.bincount(np.argmax(flipped, axis=1), minlength=n)
         expected = draws / n
@@ -443,7 +446,7 @@ class TestPreventEarlyConvergence:
         rng = np.random.default_rng(18)
         codes = np.stack([random_code(8, rng) for _ in range(5)] * 4)
         out = prevent_early_convergence(pack_codes(codes), 1.0, np.random.default_rng(0))
-        out = unpack_codes(out)
+        out = unpack_codes(out, 8)
         assert np.array_equal(out, codes)
 
     def test_keep_probability_zero_deduplicates(self):
@@ -451,7 +454,7 @@ class TestPreventEarlyConvergence:
         distinct = [random_code(8, rng) for _ in range(5)]
         codes = np.stack(distinct * 3)
         out = prevent_early_convergence(pack_codes(codes), 0.0, np.random.default_rng(0))
-        out = unpack_codes(out)
+        out = unpack_codes(out, 8)
         assert out.shape[0] == 5
         for kept, original in zip(out, distinct):
             assert np.array_equal(kept, original)
@@ -469,7 +472,7 @@ class TestPreventEarlyConvergence:
         a, b = random_code(8, rng), random_code(8, rng)
         codes = np.stack([a, b, a, b, a])
         out = prevent_early_convergence(pack_codes(codes), 1.0, np.random.default_rng(0))
-        out = unpack_codes(out)
+        out = unpack_codes(out, 8)
         assert np.array_equal(out, codes)
 
     def test_expected_retention(self):
@@ -533,7 +536,7 @@ class TestScoreCodes:
                 scored[row.tobytes()] = g
             return out
 
-        cache = ScoreCache()
+        cache = ScoreCache(blocks[0].shape[1])
         with mock.patch.object(ga, "fitness_batch", numbering_batch):
             for block in blocks:
                 rows = {row.tobytes() for row in block}
@@ -556,7 +559,7 @@ class TestScoreCodes:
     def test_matches_per_row_cached_fitness(self):
         rng = np.random.default_rng(26)
         distinct = np.stack([random_code(12, rng) for _ in range(30)])
-        cache = ScoreCache()
+        cache = ScoreCache(12)
         seen = set()
         for _ in range(3):
             block = distinct[rng.integers(0, 30, size=50)]
@@ -577,7 +580,8 @@ class TestScoreCodes:
         distinct = np.stack([random_code(12, rng) for _ in range(6)])
         block = distinct[rng.integers(0, 6, size=40)]
         undefined = block[0]
-        cache = ScoreCache(unique_rows(pack_codes(undefined[None]))[0], np.array([np.nan]))
+        cache = ScoreCache(12)
+        cache.keys, cache.gammas = unique_rows(pack_codes(undefined[None]))[0], np.array([np.nan])
         scored = []
 
         def recording_batch(codes):
@@ -599,12 +603,12 @@ class TestPadPopulation:
     def test_full_input_unchanged(self):
         rng = np.random.default_rng(24)
         codes = np.stack([random_code(8, rng) for _ in range(10)])
-        out = unpack_codes(pad_population(pack_codes(codes), 10, 8, np.random.default_rng(0)))
+        out = unpack_codes(pad_population(pack_codes(codes), 10, 8, np.random.default_rng(0)), 8)
         assert np.array_equal(out, codes)
 
     def test_empty_input_fully_random(self):
         empty = pack_codes(np.empty((0, 8), dtype=np.int8))
-        out = unpack_codes(pad_population(empty, 50, 8, np.random.default_rng(1)))
+        out = unpack_codes(pad_population(empty, 50, 8, np.random.default_rng(1)), 8)
         assert out.shape == (50, 8)
         assert set(np.unique(out)) == {-1, 1}
 
@@ -616,7 +620,7 @@ class TestPadPopulation:
 
     def test_padded_symbols_balanced(self):
         empty = pack_codes(np.empty((0, 59), dtype=np.int8))
-        out = unpack_codes(pad_population(empty, 5000, 59, np.random.default_rng(2)))
+        out = unpack_codes(pad_population(empty, 5000, 59, np.random.default_rng(2)), 59)
         assert abs(float(out.mean())) <= 0.015
 
 
@@ -624,18 +628,18 @@ class TestStepGeneration:
     def test_population_size_invariant_over_many_steps(self):
         cfg = small_config(N_G=100)
         rng = np.random.default_rng(cfg.seed)
-        cache = ScoreCache()
+        cache = ScoreCache(cfg.N)
         pop = evaluate(init_population(cfg, rng), cache)
         for _ in range(100):
             pop = step_generation(pop, cfg, cache, rng)
-            codes = unpack_codes(pop.words)
+            codes = unpack_codes(pop.words, cfg.N)
             assert codes.shape == (cfg.P, cfg.N)
             assert set(np.unique(codes)) <= {-1, 1}
 
     def test_elitism_makes_best_monotone(self):
         cfg = small_config(N_G=50)
         rng = np.random.default_rng(1)
-        cache = ScoreCache()
+        cache = ScoreCache(cfg.N)
         pop = evaluate(init_population(cfg, rng), cache)
         best = float(pop.gammas.max())
         for _ in range(50):
@@ -650,21 +654,21 @@ class TestStepGeneration:
         cfg = small_config(p_muta=0.0, p_conv=1.0)
         rng = np.random.default_rng(2)
         code = random_code(cfg.N, rng)
-        pop = evaluate(pack_codes(np.tile(code, (cfg.P, 1))), ScoreCache())
-        nxt = step_generation(pop, cfg, ScoreCache(), np.random.default_rng(3))
-        codes = unpack_codes(nxt.words)
+        pop = evaluate(pack_codes(np.tile(code, (cfg.P, 1))), ScoreCache(cfg.N))
+        nxt = step_generation(pop, cfg, ScoreCache(cfg.N), np.random.default_rng(3))
+        codes = unpack_codes(nxt.words, cfg.N)
         assert codes.shape == (cfg.P, cfg.N)
         assert all(np.array_equal(row, code) for row in codes)
 
 
-    @pytest.mark.parametrize("n", [16, 64, 100])
+    @pytest.mark.parametrize("n", [16, 64, 65, 100, 128])
     def test_matches_int8_formula(self, n):
         # Eight generations beside the int8 oracle, which shares no bit
         # handling with the packed step: the same codes, gammas, distinct
         # counts and cache size after every generation.
         cfg = small_config(N=n, P=200, E=40)
         rng, ref = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
-        cache, ref_cache = ScoreCache(), {}
+        cache, ref_cache = ScoreCache(n), {}
         pop = evaluate(init_population(cfg, rng), cache)
         codes = random_codes(cfg.P, n, ref)
         gammas, distinct = score_codes_formula(codes, ref_cache)
@@ -674,7 +678,7 @@ class TestStepGeneration:
                 codes, gammas, distinct = step_generation_formula(
                     codes, gammas, cfg, ref_cache, ref
                 )
-            assert np.array_equal(unpack_codes(pop.words), codes), k
+            assert np.array_equal(unpack_codes(pop.words, n), codes), k
             assert np.array_equal(pop.gammas, gammas), k
             assert pop.distinct_members == distinct, k
             assert len(cache) == len(ref_cache), k
@@ -766,7 +770,7 @@ class TestRunCounts:
         cfg = small_config(N_G=10)
         res = run(cfg)
         rng = np.random.default_rng(cfg.seed)
-        cache = ScoreCache()
+        cache = ScoreCache(cfg.N)
         pop = evaluate(init_population(cfg, rng), cache)
         seen = {row.tobytes() for row in pop.words}
         visited = [len(seen)]

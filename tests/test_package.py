@@ -1,4 +1,5 @@
-"""Package layout: how the modules of ``phasecode`` import one another."""
+"""Package layout: how the modules of ``phasecode`` import one another, and
+which of them knows the packed-code bit layout."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -22,6 +23,17 @@ def test_relative_import_graph_has_no_cycle():
             deps.update([node.module] if node.module else [a.name for a in node.names])
     # Raises ``graphlib.CycleError``, naming the cycle, if there is one.
     list(TopologicalSorter(graph).static_order())
+
+
+def test_only_codes_knows_the_bit_layout():
+    # ``np.packbits``, ``np.unpackbits`` and big-endian word views spell out
+    # the packed-code layout ("packbits" matches both); every other module
+    # goes through ``codes``.
+    spelled = [f"{path.name}:{lineno}"
+               for path in SOURCES if path.name != "codes.py"
+               for lineno, line in enumerate(path.read_text().splitlines(), 1)
+               if any(token in line for token in ("packbits", ">u8"))]
+    assert spelled == []
 
 
 def test_relative_imports_are_at_module_level():
