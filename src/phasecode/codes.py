@@ -57,7 +57,8 @@ def pack_codes(codes: np.ndarray) -> np.ndarray:
     is bit 63 - p % 64 of word p // 64, so word order and integer order are
     the bit-string order, and the words' big-endian bytes are the packed
     bytes on every platform. The words do not record N, so rows of one
-    length only are compared and unpacked together.
+    length only are compared and unpacked together; a longer code whose
+    extra symbols are all -1 packs to the same words as its first N.
     """
     b, n = codes.shape
     bits = np.zeros((b, 64 * -(-n // 64)), dtype=bool)
@@ -66,10 +67,12 @@ def pack_codes(codes: np.ndarray) -> np.ndarray:
 
 
 def unpack_codes(words: np.ndarray, N: int) -> np.ndarray:
-    """The (B, N) int8 codes of (B, W) ``pack_codes`` words of length-N codes."""
+    """The (B, N) int8 codes of (B, W) ``pack_codes`` words; a bit set past N raises."""
     W = -(-N // 64)
     if words.shape[1] != W:
         raise ValueError(f"length-{N} codes pack into {W} words, got {words.shape[1]}")
+    if np.any(words[:, -1] & ~_HEAD_MASKS[(N - 1) % 64 + 1]):
+        raise ValueError(f"words set a bit past symbol {N - 1} of a length-{N} code")
     bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=N)
     return 2 * bits.view(CODE_DTYPE) - 1
 

@@ -169,7 +169,7 @@ class ScoreCache:
     ``gammas`` the matching gammas, NaN where undefined. So ``len(cache)``
     is the number of distinct codes ever scored: the "visited states" (a
     code and its negation are two). ``score_codes`` rejects rows that are
-    not ceil(N / 64) words wide.
+    not ceil(N / 64) words wide or that set a bit past symbol N - 1.
     """
 
     N: int

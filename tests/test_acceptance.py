@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from phasecode.baselines import brute_force_best, known_code, known_codes
-from phasecode.cli import RUN_LOG_HEADER, main
+from phasecode.cli import main
 from phasecode.codes import as_code, pack_codes, unpack_codes
 from phasecode.echo import empirical_sir
 from phasecode.fitness import (
@@ -33,6 +33,7 @@ from phasecode.ga import (
     tournament_indices,
     tournament_select,
 )
+from golden import log_bytes_without_elapsed
 from reference import random_code, tournament_win_probability
 
 N12_OPTIMAL_GAMMA = 14.317091616882326
@@ -239,14 +240,8 @@ class TestCriterion7DeterminismAndInvariants:
             assert main(["search", *args, "--out", str(out)]) == 0
             outs.append(out)
 
-        def body_without_elapsed(path):
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-            assert rows[0] == RUN_LOG_HEADER
-            return "\n".join(",".join(r[:-1]) for r in rows)
-
         name = "search_N31_seed70"
-        bodies = [body_without_elapsed(o / f"{name}.log.csv") for o in outs]
+        bodies = [log_bytes_without_elapsed(o / f"{name}.log.csv") for o in outs]
         plots = [(o / f"{name}.plot.csv").read_bytes() for o in outs]
         ok = bodies[0] == bodies[1] == bodies[2] and plots[0] == plots[1] == plots[2]
         report(

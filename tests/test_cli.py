@@ -7,18 +7,17 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import phasecode
 from phasecode import cli
 from phasecode.cli import RUN_LOG_HEADER, _build_ga_config, build_parser, derive_sweep_seed, main
 from phasecode.codes import parse_code
 from phasecode.baselines import known_code
 from phasecode.fitness import fitness, optimal_filter
 from phasecode.ga import GaConfig
+from golden import child_env, log_bytes_without_elapsed, result_without_run_block
 from reference import cross_correlation
 
 SMALL = ["--N", "16", "--N_G", "6", "--P", "120", "--E", "24", "--M", "5"]
@@ -30,14 +29,6 @@ RUN_BLOCK = ["elapsed_seconds_total", "peak_rss_mb", "cpus", "created_utc", "pyt
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
-
-
-def log_bytes_without_elapsed(path):
-    """Log body with the wall-clock column masked (it is the one
-    legitimately nondeterministic column)."""
-    rows = read_csv(path)
-    assert rows[0] == RUN_LOG_HEADER
-    return "\n".join(",".join(row[:-1]) for row in rows)
 
 
 class TestSearchCommand:
@@ -124,6 +115,8 @@ class TestSearchCommand:
         name = "search_N16_seed6"
         assert log_bytes_without_elapsed(a / f"{name}.log.csv") == \
             log_bytes_without_elapsed(b / f"{name}.log.csv")
+        assert result_without_run_block(a / f"{name}.result.txt") == \
+            result_without_run_block(b / f"{name}.result.txt")
         # the plot CSV carries no timing at all: fully byte-identical
         assert (a / f"{name}.plot.csv").read_bytes() == (b / f"{name}.plot.csv").read_bytes()
 
@@ -565,11 +558,8 @@ class TestCliPlumbing:
             "print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))\n"
         )
-        src = str(Path(phasecode.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            [sys.executable, "-c", script], env=child_env(), capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"

@@ -305,6 +305,15 @@ class TestPackCodes:
         with pytest.raises(ValueError, match=f"length-{n} codes pack into"):
             unpack_codes(np.zeros((3, width), np.uint64), n)
 
+    @pytest.mark.parametrize("n", [2, 20, 63, 65, 100, 130])
+    def test_unpack_rejects_a_pad_bit(self, n):
+        # Symbol n is the first pad bit after a length-n code.
+        words = pack_codes(random_codes(3, n, np.random.default_rng(n)))
+        word, bit = symbol_bits(np.array([n]))
+        words[1, word] |= bit
+        with pytest.raises(ValueError, match=f"past symbol {n - 1} of a length-{n} code"):
+            unpack_codes(words, n)
+
     @pytest.mark.parametrize("n", [64, 130])
     def test_head_masks_cover_the_first_symbols(self, n):
         W = -(-n // 64)

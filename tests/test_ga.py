@@ -574,6 +574,18 @@ class TestScoreCodes:
             assert len(cache) - before == len(new)
         assert len(cache) == len(seen)
 
+    def test_cache_rejects_codes_of_another_length_in_the_same_words(self):
+        # N = 30 codes pack into one word, as N = 20 codes do: their last ten
+        # symbols set pad bits of a length-20 code, so the first miss raises.
+        cache = ScoreCache(20)
+        score_codes(pack_codes(random_codes(5, 20, np.random.default_rng(1))), cache)
+        keys, gammas = cache.keys, cache.gammas
+        longer = pack_codes(random_codes(3, 30, np.random.default_rng(0)))
+        for target in (ScoreCache(20), cache):
+            with pytest.raises(ValueError, match="past symbol 19 of a length-20 code"):
+                score_codes(longer, target)
+        assert cache.keys is keys and cache.gammas is gammas
+
     def test_cached_undefined_code_is_a_hit(self, monkeypatch):
         # A NaN gamma in the cache is an undefined code, not a missing one.
         rng = np.random.default_rng(27)

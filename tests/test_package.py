@@ -1,5 +1,5 @@
-"""Package layout: how the modules of ``phasecode`` import one another, and
-which of them knows the packed-code bit layout."""
+"""Package layout: how the modules of ``phasecode`` import one another,
+which of them knows the packed-code bit layout, and where output pins live."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -34,6 +34,16 @@ def test_only_codes_knows_the_bit_layout():
                for lineno, line in enumerate(path.read_text().splitlines(), 1)
                if any(token in line for token in ("packbits", ">u8"))]
     assert spelled == []
+
+
+def test_ci_holds_no_output_pin():
+    # Every pinned output is a row of ``tests/golden.py``, which the test
+    # suite runs; CI runs the suite, not a second copy of the pins.
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    pinned = [f"tests.yml:{lineno}"
+              for lineno, line in enumerate(workflow.read_text().splitlines(), 1)
+              if "sha256sum -c" in line or "grep -F" in line]
+    assert pinned == []
 
 
 def test_relative_imports_are_at_module_level():
