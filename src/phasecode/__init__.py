@@ -39,7 +39,6 @@ from .ga import (
     random_search,
     run,
     step_generation,
-    tournament_indices,
     tournament_select,
 )
 from .echo import empirical_sir

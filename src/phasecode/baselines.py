@@ -32,11 +32,6 @@ _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype
 # above the few-ulp (about 1e-14) rounding split of symmetric codes.
 _TIE_RTOL = 1e-12
 
-_SOURCE_LEGENDRE = "Legendre sequence, N=59"
-_SOURCE_ALPHA = "AlphaSeq (deep reinforcement learning search)"
-_SOURCE_HPGAN = "HpGAN (generative adversarial search)"
-_SOURCE_GA = "genetic search, published reference optimum"
-
 _S_L = """
 +1,+1,-1,+1,+1,+1,-1,+1,-1,+1
 -1,-1,+1,-1,-1,+1,+1,+1,-1,+1
@@ -74,10 +69,10 @@ _S_GA = """
 """
 
 _REGISTRY_ROWS = (
-    ("legendre", _S_L, 2.69, _SOURCE_LEGENDRE),
-    ("alphaseq", _S_ALPHA, 33.45, _SOURCE_ALPHA),
-    ("hpgan", _S_HPGAN, 45.16, _SOURCE_HPGAN),
-    ("ga", _S_GA, 50.84, _SOURCE_GA),
+    ("legendre", _S_L, 2.69),  # Legendre sequence, N=59
+    ("alphaseq", _S_ALPHA, 33.45),  # AlphaSeq (deep reinforcement learning search)
+    ("hpgan", _S_HPGAN, 45.16),  # HpGAN (generative adversarial search)
+    ("ga", _S_GA, 50.84),  # genetic search, published reference optimum
 )
 
 # Digest of the canonical text of all four codes; guards the constants above
@@ -92,7 +87,6 @@ class KnownCode:
     name: str
     code: PhaseCode
     published_gamma: float
-    source: str
 
 
 def _registry_digest(codes: list[KnownCode]) -> str:
@@ -107,10 +101,7 @@ def known_codes() -> list[KnownCode]:
     and checked against its published value to within 0.01; a mismatch
     raises rather than returning corrupt ground truth.
     """
-    out = [
-        KnownCode(name, parse_code(text), gamma, source)
-        for name, text, gamma, source in _REGISTRY_ROWS
-    ]
+    out = [KnownCode(name, parse_code(text), gamma) for name, text, gamma in _REGISTRY_ROWS]
     digest = _registry_digest(out)
     if digest != REGISTRY_SHA256:
         raise RuntimeError(f"known-code registry digest mismatch: {digest}")

@@ -10,10 +10,11 @@ evaluation phase consumes no randomness.
 
 The population is kept packed, one ``codes.pack_codes`` row of
 W = ceil(N / 64) words per member, which is also the score cache's key:
-elites and tournament winners are row gathers, crossover and mutation are bit
-operations on the words, and thinning and scoring deduplicate the words
-directly. Only new codes are packed (generation 0 and the padding), and
-only codes the cache misses, and the best code, are unpacked.
+selection returns member indices, ``step_generation`` gathers the mating
+pool once, crossover and mutation are bit operations on the words, and
+thinning and scoring deduplicate the words directly. Only new codes are
+packed (the padding, which also builds generation 0), and only codes the
+cache misses, and the best code, are unpacked.
 
 ``random_search``, the uniform random baseline, scores its draws through
 the same ``ScoreCache``, so its visited states compare with ``run``'s.
@@ -125,7 +126,6 @@ class Population:
     codes.
     """
 
-    generation: int
     words: np.ndarray  # (P, W) uint64
     gammas: np.ndarray  # (P,) float
     distinct_members: int
@@ -152,13 +152,6 @@ class RunResult:
     history: list[GenerationStats]
     total_visited_states: int
     total_evaluations: int
-
-
-def init_population(config: GaConfig, rng: np.random.Generator) -> np.ndarray:
-    """Generation 0, packed: the ``init`` codes, then uniform random codes."""
-    seeds = _init_codes(config)
-    fill = random_codes(config.P - len(seeds), config.N, rng)
-    return pack_codes(np.concatenate([seeds, fill]))
 
 
 @dataclass
@@ -210,13 +203,13 @@ def score_codes(words: np.ndarray, cache: ScoreCache) -> tuple[np.ndarray, int]:
     return np.where(np.isnan(gammas), -np.inf, gammas)[inverse], keys.size
 
 
-def evaluate(words: np.ndarray, cache: ScoreCache, generation: int = 0) -> Population:
+def evaluate(words: np.ndarray, cache: ScoreCache) -> Population:
     """The population of packed codes ``words``, scored through the cache (``score_codes``)."""
-    return Population(generation, words, *score_codes(words, cache))
+    return Population(words, *score_codes(words, cache))
 
 
 def elite_select(pop: Population, E: int) -> np.ndarray:
-    """The E highest-fitness members, ties broken by lower population index.
+    """Population indices of the E highest-fitness members, ties broken by lower index.
 
     ``np.partition`` finds the E-th highest gamma; only the members at or
     above it are sorted, stably and in index order, so the result is the
@@ -227,7 +220,7 @@ def elite_select(pop: Population, E: int) -> np.ndarray:
     neg = -pop.gammas
     top = np.flatnonzero(neg <= np.partition(neg, E - 1)[E - 1])
     order = top[np.argsort(neg[top], kind="stable")]
-    return pop.words[order[:E]]
+    return order[:E]
 
 
 def _draw_tournament_indices(
@@ -256,7 +249,7 @@ def _draw_tournament_indices(
     return idx
 
 
-def tournament_indices(
+def tournament_select(
     pop: Population, M: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Population indices of the winners of ``count`` independent M-way
@@ -272,16 +265,6 @@ def tournament_indices(
     idx = _draw_tournament_indices(rng, pop.size, M, count)
     drawn = pop.gammas[idx]
     return idx[np.arange(count), np.argmax(drawn, axis=1)]
-
-
-def tournament_select(
-    pop: Population, M: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Packed codes of the ``tournament_indices`` winners, as a new (count, W) array.
-
-    Draws from ``rng`` exactly as ``tournament_indices`` does.
-    """
-    return np.take(pop.words, tournament_indices(pop, M, count, rng), axis=0)
 
 
 def prevent_early_convergence(
@@ -306,6 +289,11 @@ def pad_population(words: np.ndarray, P: int, N: int, rng: np.random.Generator) 
     if count == P:
         return words
     return np.concatenate([words, pack_codes(random_codes(P - count, N, rng))])
+
+
+def init_population(config: GaConfig, rng: np.random.Generator) -> np.ndarray:
+    """Generation 0, packed: the ``init`` codes, padded with uniform random codes."""
+    return pad_population(pack_codes(_init_codes(config)), config.P, config.N, rng)
 
 
 def crossover(pool: np.ndarray, count: int, N: int, rng: np.random.Generator) -> np.ndarray:
@@ -350,7 +338,7 @@ def step_generation(
     cache: ScoreCache,
     rng: np.random.Generator,
 ) -> Population:
-    """One full generation step; returns the evaluated generation k+1.
+    """One full generation step; returns the evaluated next generation.
 
     Randomness is consumed in this fixed order: tournament draws, parent
     pairs, split points, mutation gates, mutation positions, duplicate-keep
@@ -359,18 +347,18 @@ def step_generation(
     N, P, E = config.N, config.P, config.E
     elites = elite_select(pop, E)
     winners = tournament_select(pop, config.M, P - E, rng)
-    pool = np.concatenate([winners, elites])
+    pool = np.take(pop.words, np.concatenate([winners, elites]), axis=0)
     children = crossover(pool, P - E, N, rng)
     children = mutate(children, config.p_muta, N, rng)
-    candidate = np.concatenate([children, elites])
+    candidate = np.concatenate([children, pool[P - E :]])
     kept = prevent_early_convergence(candidate, config.p_conv, rng)
-    return evaluate(pad_population(kept, P, N, rng), cache, pop.generation + 1)
+    return evaluate(pad_population(kept, P, N, rng), cache)
 
 
-def _population_stats(pop: Population, visited: int, t0: float) -> GenerationStats:
+def _population_stats(k: int, pop: Population, visited: int, t0: float) -> GenerationStats:
     finite = pop.gammas[np.isfinite(pop.gammas)]
     return GenerationStats(
-        k=pop.generation,
+        k=k,
         best_gamma=float(pop.gammas.max()),
         mean_gamma=float(finite.mean()) if finite.size else float("nan"),
         distinct_members=pop.distinct_members,
@@ -407,17 +395,18 @@ def run(
     best_code, best_gamma = None, -math.inf
 
     pop = evaluate(init_population(config, rng), cache)
-    while True:
+    for k in range(config.N_G + 1):
+        if k:
+            pop = step_generation(pop, config, cache, rng)
         idx = int(np.argmax(pop.gammas))
         if best_code is None or pop.gammas[idx] > best_gamma:
             best_gamma = float(pop.gammas[idx])
             best_code = unpack_codes(pop.words[idx : idx + 1], config.N)[0]
-        history.append(_population_stats(pop, len(cache), t0))
+        history.append(_population_stats(k, pop, len(cache), t0))
         if on_generation:
             on_generation(history[-1])
-        if pop.generation == config.N_G or (stop_gamma is not None and best_gamma >= stop_gamma):
+        if stop_gamma is not None and best_gamma >= stop_gamma:
             break
-        pop = step_generation(pop, config, cache, rng)
 
     return RunResult(
         best_code=best_code,

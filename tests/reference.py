@@ -12,6 +12,7 @@ crossover, a sign flip, a per-row duplicate loop and a dict score cache,
 all on int8 codes where the package works on packed words.
 ``step_generation_formula`` chains them into one generation, so the packed
 generation step has an oracle that shares none of its bit handling.
+``N12_OPTIMAL_GAMMA`` and ``N12_OPTIMAL_CODE`` pin the exhaustive N=12 optimum.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ import numpy as np
 
 from phasecode.codes import CODE_DTYPE, PhaseCode, random_codes, shifted
 from phasecode.fitness import fitness_batch
+
+# Frozen at first computation: exact optimum for N=12 (enumeration of one
+# code per symmetry orbit, 528 of the 4096 codes). The exact gamma is
+# 2442052/170569, shared by the 8-code symmetry orbit of the code; the pin is
+# the orbit's lexicographic minimum, as the tie rule documents.
+N12_OPTIMAL_GAMMA = 14.317091616882326
+N12_OPTIMAL_CODE = [-1, -1, -1, -1, -1, -1, 1, 1, -1, 1, -1, 1]
 
 
 def random_code(N: int, rng: np.random.Generator) -> PhaseCode:

@@ -13,14 +13,7 @@ from phasecode.baselines import (
 )
 from phasecode.fitness import fitness, fitness_batch
 from phasecode.ga import random_search
-from reference import random_code, symmetry_orbit
-
-# Frozen at first computation: exact optimum for N=12 (enumeration of one
-# code per symmetry orbit, 528 of the 4096 codes). The exact gamma is
-# 2442052/170569, shared by the 8-code symmetry orbit of the code; the pin is
-# the orbit's lexicographic minimum, as the tie rule documents.
-N12_OPTIMAL_GAMMA = 14.317091616882326
-N12_OPTIMAL_CODE = [-1, -1, -1, -1, -1, -1, 1, 1, -1, 1, -1, 1]
+from reference import N12_OPTIMAL_CODE, N12_OPTIMAL_GAMMA, random_code, symmetry_orbit
 
 fitness_module = importlib.import_module("phasecode.fitness")
 
@@ -51,8 +44,8 @@ class TestKnownCodes:
 
     def test_gamma_guard_trips_on_wrong_published_value(self, monkeypatch):
         rows = list(baselines._REGISTRY_ROWS)
-        name, text, _, source = rows[0]
-        rows[0] = (name, text, 99.0, source)
+        name, text, _ = rows[0]
+        rows[0] = (name, text, 99.0)
         monkeypatch.setattr(baselines, "_REGISTRY_ROWS", tuple(rows))
         with pytest.raises(RuntimeError):
             known_codes()

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import phasecode
 from phasecode import baselines, ga
 from phasecode.cli import main
 from phasecode.codes import as_code, lag_responses, pack_codes, shifted
@@ -35,6 +34,7 @@ from phasecode.fitness import (
     _spd_solve,
 )
 from phasecode.ga import ScoreCache, score_codes
+from golden import child_env
 from reference import random_code
 
 GAMMA_TOL = 0.01  # published SCR values carry two decimals
@@ -565,7 +565,7 @@ class TestWorkerPool:
             "print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
@@ -581,7 +581,7 @@ class TestWorkerPool:
             "print(*(pid for pid, _, _ in sys.modules['phasecode.fitness']._pool), flush=True)\n"
             f"pool_map(time.sleep, [0.5] * {THRESHOLD})\n"
         )
-        proc = subprocess.Popen([sys.executable, "-c", script], env=_fresh_env(),
+        proc = subprocess.Popen([sys.executable, "-c", script], env=child_env(),
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         pids = [int(pid) for pid in proc.stdout.readline().split()]
         proc.send_signal(signal.SIGINT)
@@ -600,21 +600,13 @@ def _assert_exits_with_no_worker_alive(argv):
         f"assert main({argv!r}) == 0\n"
         "print(*(pid for pid, _, _ in sys.modules['phasecode.fitness']._pool))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(), capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""  # nothing printed at exit
     pids = [int(pid) for pid in proc.stdout.splitlines()[-1].split()]
     assert len(pids) == CPUS
     assert not [pid for pid in pids if _alive(pid)]
-
-
-def _fresh_env():
-    """The environment for a fresh interpreter that imports this checkout's ``phasecode``."""
-    src = str(Path(phasecode.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
 
 
 class TestFitnessCache:

@@ -26,7 +26,6 @@ from phasecode.ga import (
     run,
     score_codes,
     step_generation,
-    tournament_indices,
     tournament_select,
 )
 from reference import (
@@ -58,7 +57,7 @@ def evaluated_population(codes):
 def ranked_population(codes, gammas):
     """A population of ``codes`` with the given gammas, as if scored."""
     words = pack_codes(codes)
-    return Population(0, words, np.asarray(gammas, dtype=float), len(unique_rows(words)[0]))
+    return Population(words, np.asarray(gammas, dtype=float), len(unique_rows(words)[0]))
 
 
 class TestGaConfig:
@@ -154,7 +153,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(3)
         codes = np.stack([random_code(12, rng) for _ in range(3)])
         pop = ranked_population(codes, [3.0, 1.0, 2.0])
-        elites = unpack_codes(elite_select(pop, 2), 12)
+        elites = unpack_codes(pop.words[elite_select(pop, 2)], 12)
         assert np.array_equal(elites[0], codes[0])
         assert np.array_equal(elites[1], codes[2])
 
@@ -162,7 +161,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(4)
         codes = np.stack([random_code(12, rng) for _ in range(6)])
         pop = evaluated_population(codes)
-        elites = unpack_codes(elite_select(pop, 5), 12)
+        elites = unpack_codes(pop.words[elite_select(pop, 5)], 12)
         order = np.argsort(-pop.gammas, kind="stable")
         assert np.array_equal(elites, codes[order[:5]])
 
@@ -170,7 +169,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(5)
         codes = np.stack([random_code(12, rng) for _ in range(1000)])
         pop = evaluated_population(codes)
-        elites = unpack_codes(elite_select(pop, 10), 12)
+        elites = unpack_codes(pop.words[elite_select(pop, 10)], 12)
         oracle = sorted(range(1000), key=lambda i: (-pop.gammas[i], i))[:10]
         assert np.array_equal(elites, codes[oracle])
 
@@ -178,7 +177,7 @@ class TestEliteSelect:
         rng = np.random.default_rng(6)
         codes = np.stack([random_code(12, rng) for _ in range(4)])
         pop = ranked_population(codes, [1.0, float("-inf"), 2.0, float("-inf")])
-        elites = unpack_codes(elite_select(pop, 2), 12)
+        elites = unpack_codes(pop.words[elite_select(pop, 2)], 12)
         assert np.array_equal(elites[0], codes[2])
         assert np.array_equal(elites[1], codes[0])
 
@@ -191,7 +190,7 @@ class TestEliteSelect:
         gammas = values[rng.permutation(np.repeat(np.arange(4), 250))]
         codes = np.stack([random_code(12, rng) for _ in range(1000)])
         pop = ranked_population(codes, gammas)
-        elites = unpack_codes(elite_select(pop, E), 12)
+        elites = unpack_codes(pop.words[elite_select(pop, E)], 12)
         assert elites.dtype == np.int8
         assert np.array_equal(elites, elite_select_formula(codes, gammas, E))
 
@@ -202,14 +201,14 @@ class TestTournamentSelect:
         codes = np.stack([random_code(12, rng) for _ in range(8)])
         pop = evaluated_population(codes)
         best = codes[int(np.argmax(pop.gammas))]
-        winners = unpack_codes(tournament_select(pop, 8, 20, np.random.default_rng(0)), 12)
-        assert all(np.array_equal(w, best) for w in winners)
+        winners = tournament_select(pop, 8, 20, np.random.default_rng(0))
+        assert all(np.array_equal(w, best) for w in unpack_codes(pop.words[winners], 12))
 
     def test_single_draw_tournament_is_uniform(self):
         rng = np.random.default_rng(8)
         codes = np.stack([random_code(12, rng) for _ in range(4)])
         pop = evaluated_population(codes)
-        winners = tournament_indices(pop, 1, 40_000, np.random.default_rng(1))
+        winners = tournament_select(pop, 1, 40_000, np.random.default_rng(1))
         for c in np.bincount(winners, minlength=4):
             assert c == pytest.approx(10_000, abs=400)  # ~4.6 sigma
 
@@ -219,7 +218,7 @@ class TestTournamentSelect:
         rng = np.random.default_rng(code_seed)
         codes = np.stack([random_code(12, rng) for _ in range(P)])
         pop = ranked_population(codes, np.arange(P, 0, -1))  # rank i has index i-1
-        winners = tournament_indices(pop, M, draws, np.random.default_rng(draw_seed))
+        winners = tournament_select(pop, M, draws, np.random.default_rng(draw_seed))
         counts = np.bincount(winners, minlength=P)
         for i in range(1, P + 1):
             p = tournament_win_probability(P, M, i)
@@ -318,7 +317,7 @@ class TestSurvivalProbability:
         draw_rng = np.random.default_rng(11)
         hits = 0
         for _ in range(reps):
-            winners = tournament_indices(pop, M, P - E, draw_rng)
+            winners = tournament_select(pop, M, P - E, draw_rng)
             hits += bool((winners == 0).any())
         expected = survival_probability(P, M, 1, E)
         sigma = math.sqrt(expected * (1 - expected) / reps)

@@ -1,5 +1,6 @@
 """Package layout: how the modules of ``phasecode`` import one another,
-which of them knows the packed-code bit layout, and where output pins live."""
+which of them knows the packed-code bit layout, where output pins live, and
+that no module imports a name it never reads."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -8,6 +9,7 @@ from pathlib import Path
 import phasecode
 
 SOURCES = sorted(Path(phasecode.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def relative_imports(tree):
@@ -53,3 +55,23 @@ def test_relative_imports_are_at_module_level():
         nested += [f"{path.name}:{node.lineno}" for node in relative_imports(tree)
                    if node not in tree.body]
     assert nested == []
+
+
+def unread_imports(tree):
+    """The names a module's top-level imports bind that no expression of it reads."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # A package's ``__init__.py`` imports its exports, which it never reads.
+    unread = [f"{path.parent.name}/{path.name}: {name}"
+              for path in SOURCES + TESTS if path.name != "__init__.py"
+              for name in unread_imports(ast.parse(path.read_text()))]
+    assert unread == []
