@@ -143,6 +143,7 @@ def _orbit_images(N: int, ks: np.ndarray) -> list[np.ndarray]:
     return [image ^ mask for image in (ks, rev) for mask in (0, full, alt, alt ^ full)]
 
 
+# Not ``unpack_codes``: freeing this int64 temporary keeps worker arrays off fresh mmaps (ROADMAP).
 def _index_codes(N: int, ks: np.ndarray) -> np.ndarray:
     """The (len(ks), N) codes of N-bit code indices (see ``_orbit_images``)."""
     return (2 * ((ks[:, None] >> np.arange(N - 1, -1, -1)) & 1) - 1).astype(np.int8)

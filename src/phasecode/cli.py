@@ -135,22 +135,18 @@ def _add_ga_flags(parser) -> None:
     for f in fields(GaConfig):
         parser.add_argument(f"--{f.name}", type=_SCALAR_FIELDS[f.name],
                             help=f.metadata["help"])
-    _add_common_flags(parser)
+    parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--stop-gamma", type=float, default=None,
                         help="stop early once best gamma reaches this value (finite, > 0)")
 
 
-def _add_common_flags(parser) -> None:
-    parser.add_argument("--out", default="runs", help="output directory")
-
-
 def _read_code_arg(args):
-    if getattr(args, "file", None):
+    if args.file:
         for line in Path(args.file).read_text().splitlines():
             if line.strip():
                 return parse_code(line)
         raise ValueError(f"no code found in {args.file}")
-    if getattr(args, "code", None):
+    if args.code:
         try:
             return baselines.known_code(args.code).code
         except KeyError:
@@ -162,10 +158,11 @@ def _read_code_arg(args):
 def _atomic_open(path: Path):
     """Text file handle on a temp file beside ``path``, moved over ``path`` once written.
 
-    A writer that raises leaves ``path`` as it was and deletes the temp file.
-    A process killed partway leaves ``path`` whole, old or new, and may leave
-    the temp file.
+    Makes the parent directory if it is missing. A writer that raises leaves
+    ``path`` as it was and deletes the temp file. A process killed partway
+    leaves ``path`` whole, old or new, and may leave the temp file.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
@@ -200,35 +197,25 @@ def _run_block(elapsed_seconds: float) -> dict:
     }
 
 
-def _write_run_log(path: Path, run_id: str, seed: int, history: list[GenerationStats]):
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` then ``rows``, formatted one row at a time as written."""
     with _atomic_open(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(RUN_LOG_HEADER)
-        for st in history:
-            writer.writerow(
-                [
-                    run_id,
-                    seed,
-                    st.k,
-                    _fmt(st.best_gamma),
-                    _fmt(st.mean_gamma),
-                    st.distinct_members,
-                    st.visited_states,
-                    f"{st.elapsed_seconds:.6f}",
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_plot_data(path: Path, history: list[GenerationStats]):
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "visited_states", "best_gamma"])
-        for st in history:
-            writer.writerow([st.k, st.visited_states, _fmt(st.best_gamma)])
+def _log_rows(run_id: str, seed: int, history: list[GenerationStats]):
+    """The ``RUN_LOG_HEADER`` rows of ``history``, one per generation or checkpoint."""
+    return ([run_id, seed, st.k, _fmt(st.best_gamma), _fmt(st.mean_gamma),
+             st.distinct_members, st.visited_states, f"{st.elapsed_seconds:.6f}"]
+            for st in history)
 
 
-def _write_result(path: Path, meta: dict, code) -> None:
-    lines = [f"{key} = {value}" for key, value in meta.items()]
+def _write_result(path: Path, meta: dict, code, elapsed_seconds: float) -> None:
+    """Write ``meta``, then the run block, then ``code`` as ``key = value`` lines."""
+    lines = [f"{key} = {value}"
+             for key, value in {**meta, **_run_block(elapsed_seconds)}.items()]
     lines.append(f"code = {format_code(code)}")
     with _atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -241,7 +228,8 @@ def _run_all(args, runs: list[tuple[str, GaConfig]]) -> list[RunResult]:
     command with --verbose prints one stderr line per generation.
     """
     ga.check_stop_gamma(args.stop_gamma)
-    out = _out_dir(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     results = []
     for run_id, config in runs:
         def progress(st: GenerationStats) -> None:
@@ -250,8 +238,10 @@ def _run_all(args, runs: list[tuple[str, GaConfig]]) -> list[RunResult]:
 
         result = ga.run(config, stop_gamma=args.stop_gamma,
                         on_generation=progress if getattr(args, "verbose", False) else None)
-        _write_run_log(out / f"{run_id}.log.csv", run_id, config.seed, result.history)
-        _write_plot_data(out / f"{run_id}.plot.csv", result.history)
+        _write_csv(out / f"{run_id}.log.csv", RUN_LOG_HEADER,
+                   _log_rows(run_id, config.seed, result.history))
+        _write_csv(out / f"{run_id}.plot.csv", ["generation", "visited_states", "best_gamma"],
+                   ([st.k, st.visited_states, _fmt(st.best_gamma)] for st in result.history))
         # Config echo in field order, with N and seed up front beside the run id.
         echo = {name: getattr(config, name) for name in _SCALAR_FIELDS}
         meta = {
@@ -265,9 +255,9 @@ def _run_all(args, runs: list[tuple[str, GaConfig]]) -> list[RunResult]:
             "generations_run": result.history[-1].k,
             **echo,
             "cache_hit_rate": f"{1 - result.total_visited_states / result.total_evaluations:.6f}",
-            **_run_block(result.history[-1].elapsed_seconds),
         }
-        _write_result(out / f"{run_id}.result.txt", meta, result.best_code)
+        _write_result(out / f"{run_id}.result.txt", meta, result.best_code,
+                      result.history[-1].elapsed_seconds)
         print(
             f"{run_id}: best gamma {result.best_gamma:.4f} after "
             f"{result.history[-1].k} generations, "
@@ -275,12 +265,6 @@ def _run_all(args, runs: list[tuple[str, GaConfig]]) -> list[RunResult]:
         )
         results.append(result)
     return results
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def cmd_search(args) -> int:
@@ -324,11 +308,9 @@ def cmd_sweep(args) -> int:
                for n in range(args.lo, args.hi + 1)]
     results = _run_all(args, [(f"search_N{c.N}_seed{c.seed}", c) for c in configs])
     path = Path(args.out) / "sweep.csv"
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "best_gamma", "visited_states"])
-        writer.writerows((c.N, _fmt(r.best_gamma), r.total_visited_states)
-                         for c, r in zip(configs, results))
+    _write_csv(path, ["N", "best_gamma", "visited_states"],
+               ((c.N, _fmt(r.best_gamma), r.total_visited_states)
+                for c, r in zip(configs, results)))
     print(f"sweep complete: {len(results)} rows -> {path}")
     return 0
 
@@ -351,17 +333,9 @@ def cmd_bruteforce(args) -> int:
     t0 = time.perf_counter()
     # The work runs first, so a bad N raises before --out is made.
     code, gamma = baselines.brute_force_best(args.N)
-    out = _out_dir(args)
-    _write_result(
-        out / f"bruteforce_N{args.N}.result.txt",
-        {
-            "mode": "bruteforce",
-            "N": args.N,
-            "gamma": _fmt(gamma),
-            **_run_block(time.perf_counter() - t0),
-        },
-        code,
-    )
+    _write_result(Path(args.out) / f"bruteforce_N{args.N}.result.txt",
+                  {"mode": "bruteforce", "N": args.N, "gamma": _fmt(gamma)},
+                  code, time.perf_counter() - t0)
     print(f"N={args.N}: optimal gamma {gamma:.6f}, code {format_code(code)}")
     return 0
 
@@ -371,9 +345,10 @@ def cmd_randomsearch(args) -> int:
     rng = np.random.default_rng(args.seed)
     # The work runs first, so a bad N or budget raises before --out is made.
     result = ga.random_search(args.N, args.budget, rng)
-    out = _out_dir(args)
+    out = Path(args.out)
     run_id = f"randomsearch_N{args.N}_seed{args.seed}"
-    _write_run_log(out / f"{run_id}.log.csv", run_id, args.seed, result.history)
+    _write_csv(out / f"{run_id}.log.csv", RUN_LOG_HEADER,
+               _log_rows(run_id, args.seed, result.history))
     _write_result(
         out / f"{run_id}.result.txt",
         {
@@ -384,9 +359,9 @@ def cmd_randomsearch(args) -> int:
             "budget": args.budget,
             "gamma": _fmt(result.best_gamma),
             "visited_states": result.total_visited_states,
-            **_run_block(time.perf_counter() - t0),
         },
         result.best_code,
+        time.perf_counter() - t0,
     )
     print(f"{run_id}: best gamma {result.best_gamma:.4f}")
     return 0
@@ -415,9 +390,8 @@ def cmd_simulate(args) -> int:
     print(f"empirical SIR = {estimate:.6f}")
     print(f"relative error = {rel:.4%}")
     if args.out:
-        out = _out_dir(args)
         _write_result(
-            out / f"simulate_N{len(code)}_seed{args.seed}.result.txt",
+            Path(args.out) / f"simulate_N{len(code)}_seed{args.seed}.result.txt",
             {
                 "mode": "simulate",
                 "N": len(code),
@@ -427,9 +401,9 @@ def cmd_simulate(args) -> int:
                 "distribution": args.distribution,
                 "analytic_gamma": _fmt(analytic),
                 "empirical_sir": _fmt(estimate),
-                **_run_block(time.perf_counter() - t0),
             },
             code,
+            time.perf_counter() - t0,
         )
     return 0
 
@@ -465,12 +439,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("bruteforce", help="exact optimum by exhaustive enumeration")
-    _add_common_flags(p)
+    p.add_argument("--out", default="runs", help="output directory")
     p.add_argument("N", type=int)
     p.set_defaults(func=cmd_bruteforce)
 
     p = sub.add_parser("randomsearch", help="uniform random search baseline")
-    _add_common_flags(p)
+    p.add_argument("--out", default="runs", help="output directory")
     p.add_argument("N", type=int)
     p.add_argument("budget", type=int)
     p.add_argument("--seed", type=int, default=0)

@@ -82,11 +82,6 @@ class TestSearchCommand:
         assert int(meta["cpus"]) == cpus
 
     def test_failed_rewrite_keeps_old_artifacts(self, tmp_path, monkeypatch):
-        args = ["search", *SMALL, "--seed", "3", "--out", str(tmp_path)]
-        assert main(args) == 0
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        calls = 0
-
         def failing_fmt(value):
             nonlocal calls
             calls += 1
@@ -94,11 +89,18 @@ class TestSearchCommand:
                 raise OSError("disk full")
             return f"{value:.17g}"
 
-        monkeypatch.setattr(cli, "_fmt", failing_fmt)
-        assert main(args) == 2
-        assert calls == 5
-        # The old files are intact and no temp file is left beside them.
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        for command in (["search", *SMALL, "--seed", "3"], ["randomsearch", "12", "2000"]):
+            out = tmp_path / command[0]
+            args = [*command, "--out", str(out)]
+            assert main(args) == 0
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            calls = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_fmt", failing_fmt)
+                assert main(args) == 2
+            assert calls == 5, command
+            # The old files are intact and no temp file is left beside them.
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before, command
 
     def test_log_monotone_and_visited_monotone(self, tmp_path):
         main(["search", *SMALL, "--seed", "5", "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 """Package layout: how the modules of ``phasecode`` import one another,
-which of them knows the packed-code bit layout, where output pins live, and
-that no module imports a name it never reads."""
+which of them knows the packed-code bit layout, where output pins live, that
+no module imports a name it never reads, and that the CLI writes files only
+through its atomic writer."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -75,3 +76,17 @@ def test_no_module_imports_a_name_it_never_reads():
               for path in SOURCES + TESTS if path.name != "__init__.py"
               for name in unread_imports(ast.parse(path.read_text()))]
     assert unread == []
+
+
+def test_cli_writes_files_only_through_atomic_open():
+    # ``cli._atomic_open`` writes a temp file and moves it into place, so no
+    # artifact is ever left torn; every other write would bypass that.
+    tree = ast.parse(Path(phasecode.__file__).with_name("cli.py").read_text())
+    atomic = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_atomic_open")
+    inside = set(ast.walk(atomic))
+    writes = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and node not in inside
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("open", "write_text", "write_bytes")]
+    assert writes == []
