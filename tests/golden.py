@@ -11,17 +11,21 @@ and checks it against the row:
   ``elapsed_seconds`` column, any other file as written;
 - the files the command writes are exactly those the row names.
 
-A ``one_cpu`` row runs on one CPU, as under ``taskset -c 0``, where every
-scoring map runs in-process. The empirical SIR and the optimal filter's
-taps go through BLAS/LAPACK and may differ between machines, so
-``simulate``'s record and ``eval``'s filter are not pinned.
+A row's ``variant`` launches its command on one CPU (``one-cpu``, as under
+``taskset -c 0``: every scoring map runs in-process and the result says
+``cpus = 1``) or at numpy's baseline SIMD level (``baseline-simd``: the
+child's ``NPY_DISABLE_CPU_FEATURES`` names every feature numpy dispatches
+to on this CPU). ``derived`` makes such a row from a base row and its pins.
+The empirical SIR and the optimal filter's taps go through BLAS/LAPACK and
+may differ between machines, so ``simulate``'s record and ``eval``'s
+filter are not pinned.
 
 A new pin is recorded from the parent commit, before any source change.
 """
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import phasecode
@@ -70,7 +74,18 @@ class Row:
     command: str
     lines: dict[str, tuple[str, ...]] = field(default_factory=dict)
     sha256: dict[str, str] = field(default_factory=dict)
-    one_cpu: bool = False
+    variant: str = ""
+
+
+ONE_CPU, BASELINE_SIMD = "one-cpu", "baseline-simd"
+
+
+def derived(base: Row, variant: str) -> Row:
+    """``base`` launched as ``variant``, against its pins (and ``cpus = 1`` on one CPU)."""
+    cpus = ("cpus = 1",) if variant == ONE_CPU else ()
+    lines = {name: pins + cpus if name.endswith(".result.txt") else pins
+             for name, pins in base.lines.items()}
+    return replace(base, id=f"{base.id}-{variant}", lines=lines, variant=variant)
 
 
 # The benchmark's search shapes (bench/README.md) and a small search.
@@ -108,21 +123,6 @@ ROWS = [
         sha256={
             "bruteforce_N20.result.txt": "8823a9309b63b1a2edd6d38db84b18d17eaae292035ed33a377eeebef63c07fd",
         },
-    ),
-    Row(
-        "bruteforce-20-one-cpu",
-        "bruteforce 20 --out {out}",
-        lines={
-            "bruteforce_N20.result.txt": (
-                "cpus = 1",
-                "gamma = 20.900605805123988",
-                "code = -1,-1,-1,-1,-1,-1,-1,+1,+1,+1,-1,-1,-1,+1,-1,+1,+1,-1,+1,-1",
-            ),
-        },
-        sha256={
-            "bruteforce_N20.result.txt": "8823a9309b63b1a2edd6d38db84b18d17eaae292035ed33a377eeebef63c07fd",
-        },
-        one_cpu=True,
     ),
     # The N=24 optimum (about 2 s on two CPUs), recorded by the ROADMAP re-
     # anchor that measured exact optima up to N=28.
@@ -333,23 +333,6 @@ ROWS = [
             "search_N59_seed1.result.txt": "2a3f37abff9ee5266e40a06f71c936d92e5ea658df3224841626eb366eb9d10b",
         },
     ),
-    Row(
-        "shape-n59-seed1-one-cpu",
-        "search --N 59 --N_G 4 " + SHAPE + " --seed 1 --out {out}",
-        lines={
-            "search_N59_seed1.result.txt": (
-                "cpus = 1",
-                "gamma = 8.1827837060718576",
-                "visited_states = 41619",
-            ),
-        },
-        sha256={
-            "search_N59_seed1.log.csv": "1fee053995a025397f01fa59c6bbf3d58cf74d5550c439e7ec00ffa2bd023887",
-            "search_N59_seed1.plot.csv": "9180adcc3f306aca400aa6aebb7b973db5c6ebe0cc3db9f0d3fceed809aafbf2",
-            "search_N59_seed1.result.txt": "2a3f37abff9ee5266e40a06f71c936d92e5ea658df3224841626eb366eb9d10b",
-        },
-        one_cpu=True,
-    ),
     # The benchmark's search-n100 shape, for one generation, on every CPU
     # and on one; recorded before the scoring pool moved from
     # `concurrent.futures` to forked workers fed through pipes.
@@ -367,23 +350,6 @@ ROWS = [
             "search_N100_seed1.plot.csv": "b7352e72807ada8a863e1666eca46844de5865ae1909fefd82f7f08e5112a677",
             "search_N100_seed1.result.txt": "9afc53db26512e2993153cc1a15878245164ba76fb94f37138cb8343c8762040",
         },
-    ),
-    Row(
-        "shape-n100-seed1-one-cpu",
-        "search --N 100 --N_G 1 " + SHAPE + " --seed 1 --out {out}",
-        lines={
-            "search_N100_seed1.result.txt": (
-                "cpus = 1",
-                "gamma = 6.2103662012352858",
-                "visited_states = 17949",
-            ),
-        },
-        sha256={
-            "search_N100_seed1.log.csv": "ccf397f8c1ce7ab5ea22801cbbebec7664171df9c1beca5d110e748049283fea",
-            "search_N100_seed1.plot.csv": "b7352e72807ada8a863e1666eca46844de5865ae1909fefd82f7f08e5112a677",
-            "search_N100_seed1.result.txt": "9afc53db26512e2993153cc1a15878245164ba76fb94f37138cb8343c8762040",
-        },
-        one_cpu=True,
     ),
     # The published GA code's SCR at its optimal filter, as `eval` prints
     # it, and its first and middle squared lag responses; recorded before
@@ -574,3 +540,10 @@ ROWS = [
         },
     ),
 ]
+
+# One- and two-word keys, the pool and brute force, on one CPU and at baseline SIMD.
+_BASE = {row.id: row for row in ROWS}
+ROWS += [derived(_BASE[row_id], ONE_CPU) for row_id in (
+    "bruteforce-20", "shape-n59-seed1", "shape-n100-seed1")]
+ROWS += [derived(_BASE[row_id], BASELINE_SIMD) for row_id in (
+    "shape-n16-seed1", "shape-n59-seed1", "shape-n100-seed1", "bruteforce-20", "search-n65")]

@@ -574,8 +574,11 @@ class TestWorkerPool:
     def test_ctrl_c_leaves_no_worker_alive(self):
         # SIGINT reaches the main process during a map whose calls take 0.5 s;
         # the workers ignore it and finish their call before they are reaped.
+        # The child restores Python's SIGINT handler, which it would not
+        # install had it inherited SIGINT ignored (a background job's state).
         script = (
-            "import sys, time\n"
+            "import signal, sys, time\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
             "from phasecode.fitness import pool_map\n"
             f"pool_map(abs, range({THRESHOLD}))\n"
             "print(*(pid for pid, _, _ in sys.modules['phasecode.fitness']._pool), flush=True)\n"
