@@ -161,8 +161,9 @@ class ScoreCache:
     ``keys`` holds the ``codes.unique_rows`` keys in ascending order, and
     ``gammas`` the matching gammas, NaN where undefined. So ``len(cache)``
     is the number of distinct codes ever scored: the "visited states" (a
-    code and its negation are two). ``score_codes`` rejects rows that are
-    not ceil(N / 64) words wide or that set a bit past symbol N - 1.
+    code and its negation are two). ``evaluate`` is its one reader and
+    writer, and rejects rows that are not ceil(N / 64) words wide or that
+    set a bit past symbol N - 1.
     """
 
     N: int
@@ -177,15 +178,15 @@ class ScoreCache:
         return self.keys.size
 
 
-def score_codes(words: np.ndarray, cache: ScoreCache) -> tuple[np.ndarray, int]:
-    """Gammas of a (B, W) packed code matrix, -inf where undefined, and its distinct-row count.
+def evaluate(words: np.ndarray, cache: ScoreCache) -> Population:
+    """The population of the (B, W) packed codes ``words``, scored through the cache.
 
-    ``unique_rows`` gives the distinct keys in ascending order, so one
-    ``searchsorted`` into ``cache.keys`` finds each key's position: a hit
-    where the key stored there is equal (a cached NaN is a hit), a miss
-    otherwise. The misses are unpacked and scored in one ``fitness_batch``
-    call, in key order, and inserted at those same positions, which keeps
-    the cache sorted.
+    Gammas are -inf where undefined. ``unique_rows`` gives the distinct keys
+    in ascending order, so one ``searchsorted`` into ``cache.keys`` finds
+    each key's position: a hit where the key stored there is equal (a
+    cached NaN is a hit), a miss otherwise. The misses are unpacked and
+    scored in one ``fitness_batch`` call, in key order, and inserted at
+    those same positions, which keeps the cache sorted.
     """
     keys, first, inverse = unique_rows(words)
     if cache.keys.dtype != keys.dtype:
@@ -200,12 +201,7 @@ def score_codes(words: np.ndarray, cache: ScoreCache) -> tuple[np.ndarray, int]:
         gammas[miss] = fitness_batch(unpack_codes(words[first[miss]], cache.N))
         cache.keys = np.insert(cache.keys, pos[miss], keys[miss])
         cache.gammas = np.insert(cache.gammas, pos[miss], gammas[miss])
-    return np.where(np.isnan(gammas), -np.inf, gammas)[inverse], keys.size
-
-
-def evaluate(words: np.ndarray, cache: ScoreCache) -> Population:
-    """The population of packed codes ``words``, scored through the cache (``score_codes``)."""
-    return Population(words, *score_codes(words, cache))
+    return Population(words, np.where(np.isnan(gammas), -np.inf, gammas)[inverse], keys.size)
 
 
 def elite_select(pop: Population, E: int) -> np.ndarray:
@@ -286,8 +282,6 @@ def pad_population(words: np.ndarray, P: int, N: int, rng: np.random.Generator) 
     count = words.shape[0]
     if count > P:
         raise RuntimeError(f"pipeline produced {count} codes for population size {P}")
-    if count == P:
-        return words
     return np.concatenate([words, pack_codes(random_codes(P - count, N, rng))])
 
 
@@ -446,9 +440,10 @@ def random_search(N: int, budget: int, rng: np.random.Generator) -> RunResult:
         while done < mark:
             m = min(4096, mark - done)
             codes = random_codes(m, N, rng)
-            gammas = score_codes(pack_codes(codes), cache)[0]
-            for g in gammas[np.isfinite(gammas)].tolist():
-                gamma_sum += g  # sequential, so the logged mean is reproducible
+            gammas = evaluate(pack_codes(codes), cache).gammas
+            # ``accumulate`` adds left to right, so the logged mean is reproducible
+            finite = gammas[np.isfinite(gammas)]
+            gamma_sum = float(np.add.accumulate(np.concatenate([[gamma_sum], finite]))[-1])
             top = int(np.argmax(gammas))
             if gammas[top] > best_gamma:
                 best_gamma = float(gammas[top])

@@ -137,10 +137,11 @@ def prevent_early_convergence_formula(
 
 
 def score_codes_formula(codes: np.ndarray, cache: dict) -> tuple[np.ndarray, int]:
-    """``ga.score_codes`` on int8 codes with a dict cache keyed by ``packed_key``.
+    """``ga.evaluate``'s gammas and distinct count, on int8 codes with a dict cache
+    keyed by ``packed_key``.
 
     The codes not yet in ``cache`` are scored in one ``fitness_batch`` call,
-    in key order, as ``ga.score_codes`` scores its misses.
+    in key order, as ``ga.evaluate`` scores its misses.
     """
     keys = [packed_key(row) for row in codes]
     rows = dict(zip(keys, codes))

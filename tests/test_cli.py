@@ -475,6 +475,22 @@ class TestSimulateCommand:
                      "--seed", "3", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "simulate_N4_seed3.result.txt").exists()
 
+    def test_uniform_distribution_is_recorded(self, tmp_path):
+        assert main(["simulate", "+1,+1,-1,+1", "--trials", "5000", "--seed", "3",
+                     "--distribution", "uniform", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "simulate_N4_seed3.result.txt").read_text().splitlines()
+        assert "distribution = uniform" in lines
+
+    def test_reads_first_code_from_file(self, tmp_path, capsys):
+        path = tmp_path / "codes.txt"
+        path.write_text("\n  \n+1,+1,-1,+1,-1\n+1,-1\n")
+        assert main(["simulate", "--file", str(path), "--trials", "5000", "--seed", "3"]) == 0
+        text = capsys.readouterr().out
+        analytic = float(next(l for l in text.splitlines()
+                              if l.startswith("analytic")).split("=")[1])
+        assert "N = 5" in text
+        assert analytic == pytest.approx(fitness(parse_code("+1,+1,-1,+1,-1")), abs=1e-6)
+
 
 class TestCliPlumbing:
     def test_every_result_record_ends_with_the_run_block(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Clutter matrix, solver, SCR fitness, and the score cache.
+"""Clutter matrix, solver and SCR fitness.
 
 The independent oracles here never share code with the production path:
 the clutter matrix is rebuilt from literal shifted outer products, small-N
@@ -20,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from phasecode import baselines, ga
+from phasecode import baselines
 from phasecode.cli import main
-from phasecode.codes import as_code, lag_responses, pack_codes, shifted
+from phasecode.codes import as_code, lag_responses, shifted
 from phasecode.echo import empirical_sir
 from phasecode.fitness import (
     build_clutter_matrix,
@@ -33,7 +33,6 @@ from phasecode.fitness import (
     scr,
     _spd_solve,
 )
-from phasecode.ga import ScoreCache, score_codes
 from golden import child_env
 from reference import random_code
 
@@ -610,51 +609,3 @@ def _assert_exits_with_no_worker_alive(argv):
     pids = [int(pid) for pid in proc.stdout.splitlines()[-1].split()]
     assert len(pids) == CPUS
     assert not [pid for pid in pids if _alive(pid)]
-
-
-class TestFitnessCache:
-    """The score cache maps each ``unique_rows`` key to its gamma."""
-
-    def test_repeat_lookup_is_a_hit(self, monkeypatch):
-        cache = ScoreCache(12)
-        rng = np.random.default_rng(0)
-        s = random_code(12, rng)[None, :]
-        first, _ = score_codes(pack_codes(s), cache)
-        # The second lookup must not score again.
-        monkeypatch.setattr(ga, "fitness_batch", None)
-        second, _ = score_codes(pack_codes(s), cache)
-        assert len(cache) == 1
-        # bit-identical stored score
-        assert first.tobytes() == second.tobytes()
-
-    def test_counts_all_distinct_codes(self):
-        cache = ScoreCache(12)
-        n = 12
-        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-        codes = (2 * bits - 1).astype(np.int8)
-        assert score_codes(pack_codes(codes), cache)[1] == 4096
-        assert len(cache) == 4096
-        assert score_codes(pack_codes(codes[::-1]), cache)[1] == 4096
-        assert len(cache) == 4096
-
-    def test_exact_keys_by_default(self):
-        cache = ScoreCache(16)
-        rng = np.random.default_rng(1)
-        s = random_code(16, rng)[None, :]
-        score_codes(pack_codes(s), cache)
-        score_codes(pack_codes(-s), cache)
-        assert len(cache) == 2
-
-    def test_rejects_rows_of_another_width(self):
-        # A length-20 cache holds one-word keys; length-65 codes pack into
-        # two words, and are refused on the first call as on any later one.
-        rng = np.random.default_rng(2)
-        wide = pack_codes(random_code(65, rng)[None, :])
-        cache = ScoreCache(20)
-        with pytest.raises(ValueError, match="score cache holds"):
-            score_codes(wide, cache)
-        assert len(cache) == 0
-        score_codes(pack_codes(random_code(20, rng)[None, :]), cache)
-        with pytest.raises(ValueError, match="score cache holds"):
-            score_codes(wide, cache)
-        assert len(cache) == 1

@@ -24,7 +24,6 @@ from phasecode.ga import (
     pad_population,
     prevent_early_convergence,
     run,
-    score_codes,
     step_generation,
     tournament_select,
 )
@@ -541,10 +540,10 @@ class TestScoreCodes:
                 rows = {row.tobytes() for row in block}
                 new = rows - scored.keys()
                 calls = len(batches)
-                gammas, count = score_codes(pack_codes(block), cache)
+                pop = evaluate(pack_codes(block), cache)
                 want = [scored[row.tobytes()] for row in block]
-                assert gammas.tolist() == [-math.inf if math.isnan(g) else g for g in want]
-                assert count == len(rows)
+                assert pop.gammas.tolist() == [-math.inf if math.isnan(g) else g for g in want]
+                assert pop.distinct_members == len(rows)
                 # The misses go in one batch, in ascending key order.
                 assert len(batches) - calls == (1 if new else 0)
                 if new:
@@ -563,11 +562,11 @@ class TestScoreCodes:
         for _ in range(3):
             block = distinct[rng.integers(0, 30, size=50)]
             before = len(cache)
-            gammas, count = score_codes(pack_codes(block), cache)
-            for row, g in zip(block, gammas):
+            pop = evaluate(pack_codes(block), cache)
+            for row, g in zip(block, pop.gammas):
                 assert g == pytest.approx(fitness(row), rel=1e-12)
             rows = {r.tobytes() for r in block}
-            assert count == len(rows)
+            assert pop.distinct_members == len(rows)
             new = rows - seen
             seen |= new
             assert len(cache) - before == len(new)
@@ -577,12 +576,12 @@ class TestScoreCodes:
         # N = 30 codes pack into one word, as N = 20 codes do: their last ten
         # symbols set pad bits of a length-20 code, so the first miss raises.
         cache = ScoreCache(20)
-        score_codes(pack_codes(random_codes(5, 20, np.random.default_rng(1))), cache)
+        evaluate(pack_codes(random_codes(5, 20, np.random.default_rng(1))), cache)
         keys, gammas = cache.keys, cache.gammas
         longer = pack_codes(random_codes(3, 30, np.random.default_rng(0)))
         for target in (ScoreCache(20), cache):
             with pytest.raises(ValueError, match="past symbol 19 of a length-20 code"):
-                score_codes(longer, target)
+                evaluate(longer, target)
         assert cache.keys is keys and cache.gammas is gammas
 
     def test_cached_undefined_code_is_a_hit(self, monkeypatch):
@@ -600,7 +599,7 @@ class TestScoreCodes:
             return fitness_batch(codes)
 
         monkeypatch.setattr(ga, "fitness_batch", recording_batch)
-        gammas, _ = score_codes(pack_codes(block), cache)
+        gammas = evaluate(pack_codes(block), cache).gammas
         is_undefined = (block == undefined).all(axis=1)
         assert np.all(gammas[is_undefined] == -np.inf)
         assert np.all(np.isfinite(gammas[~is_undefined]))
@@ -610,12 +609,64 @@ class TestScoreCodes:
         assert len(scored[0]) == new and len(cache) == new + 1
 
 
+class TestScoreCache:
+    """The score cache maps each ``unique_rows`` key to its gamma."""
+
+    def test_repeat_lookup_is_a_hit(self, monkeypatch):
+        cache = ScoreCache(12)
+        rng = np.random.default_rng(0)
+        s = random_code(12, rng)[None, :]
+        first = evaluate(pack_codes(s), cache).gammas
+        # The second lookup must not score again.
+        monkeypatch.setattr(ga, "fitness_batch", None)
+        second = evaluate(pack_codes(s), cache).gammas
+        assert len(cache) == 1
+        # bit-identical stored score
+        assert first.tobytes() == second.tobytes()
+
+    def test_counts_all_distinct_codes(self):
+        cache = ScoreCache(12)
+        n = 12
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        codes = (2 * bits - 1).astype(np.int8)
+        assert evaluate(pack_codes(codes), cache).distinct_members == 4096
+        assert len(cache) == 4096
+        assert evaluate(pack_codes(codes[::-1]), cache).distinct_members == 4096
+        assert len(cache) == 4096
+
+    def test_exact_keys_by_default(self):
+        cache = ScoreCache(16)
+        rng = np.random.default_rng(1)
+        s = random_code(16, rng)[None, :]
+        evaluate(pack_codes(s), cache)
+        evaluate(pack_codes(-s), cache)
+        assert len(cache) == 2
+
+    def test_rejects_rows_of_another_width(self):
+        # A length-20 cache holds one-word keys; length-65 codes pack into
+        # two words, and are refused on the first call as on any later one.
+        rng = np.random.default_rng(2)
+        wide = pack_codes(random_code(65, rng)[None, :])
+        cache = ScoreCache(20)
+        with pytest.raises(ValueError, match="score cache holds"):
+            evaluate(wide, cache)
+        assert len(cache) == 0
+        evaluate(pack_codes(random_code(20, rng)[None, :]), cache)
+        with pytest.raises(ValueError, match="score cache holds"):
+            evaluate(wide, cache)
+        assert len(cache) == 1
+
+
 class TestPadPopulation:
     def test_full_input_unchanged(self):
         rng = np.random.default_rng(24)
         codes = np.stack([random_code(8, rng) for _ in range(10)])
-        out = unpack_codes(pad_population(pack_codes(codes), 10, 8, np.random.default_rng(0)), 8)
+        pad_rng = np.random.default_rng(0)
+        state = pad_rng.bit_generator.state
+        out = unpack_codes(pad_population(pack_codes(codes), 10, 8, pad_rng), 8)
         assert np.array_equal(out, codes)
+        # A full population draws nothing, so the next operator's draws stay put.
+        assert pad_rng.bit_generator.state == state
 
     def test_empty_input_fully_random(self):
         empty = pack_codes(np.empty((0, 8), dtype=np.int8))
