@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import PhaseCode, format_code, parse_code
+from .codes import PhaseCode, format_code, parse_code, unpack_codes
 from .fitness import fitness, fitness_batch, pool_map
 
 # Hard cap for exhaustive enumeration: N = 28 takes under a minute on two CPUs.
@@ -127,9 +127,10 @@ def _orbit_images(N: int, ks: np.ndarray) -> list[np.ndarray]:
     """The 8 images of N-bit code indices under negation x reversal x alternation.
 
     Index k holds symbol n in bit N-1-n with +1 as 1, so integer order is
-    lexicographic order with -1 before +1. Negation is ``k ^ full``,
-    alternation s[n] -> (-1)^n s[n] is ``k ^ alt`` and reversal is the N-bit
-    reversal of k, read through a byte table. All 8 share the gamma of k:
+    lexicographic order with -1 before +1, and k << (64 - N) is the code's
+    ``pack_codes`` word. Negation is ``k ^ full``, alternation
+    s[n] -> (-1)^n s[n] is ``k ^ alt`` and reversal is the N-bit reversal
+    of k, read through a byte table. All 8 share the gamma of k:
     alternation maps R to D R D with D = diag((-1)^n), which leaves
     s^T R^{-1} s unchanged.
     """
@@ -141,12 +142,6 @@ def _orbit_images(N: int, ks: np.ndarray) -> list[np.ndarray]:
         rev = (rev << 8) | _REVERSED_BYTES[(ks >> shift) & 0xFF]
     rev >>= width - N
     return [image ^ mask for image in (ks, rev) for mask in (0, full, alt, alt ^ full)]
-
-
-# Not ``unpack_codes``: freeing this int64 temporary keeps worker arrays off fresh mmaps (ROADMAP).
-def _index_codes(N: int, ks: np.ndarray) -> np.ndarray:
-    """The (len(ks), N) codes of N-bit code indices (see ``_orbit_images``)."""
-    return (2 * ((ks[:, None] >> np.arange(N - 1, -1, -1)) & 1) - 1).astype(np.int8)
 
 
 def _orbit_block(N: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -161,7 +156,7 @@ def _orbit_block(N: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, floa
     # Pairwise minima: ``np.minimum.reduce`` stacks the 8 images first, 3x slower.
     ks = ks[ks <= functools.reduce(np.minimum, _orbit_images(N, ks))]
     # ``fitness_batch`` is looked up here at call time, so it can be wrapped.
-    gammas = fitness_batch(_index_codes(N, ks))
+    gammas = fitness_batch(unpack_codes(ks.astype(np.uint64)[:, None] << np.uint64(64 - N), N))
     gammas = np.where(np.isfinite(gammas), gammas, float("-inf"))
     best = float(gammas.max(initial=float("-inf")))
     # Every defined gamma is > 0, so this keeps the near-ties of the best.
@@ -198,5 +193,6 @@ def brute_force_best(N: int) -> tuple[PhaseCode, float]:
     tied = np.concatenate(near_ks)[np.concatenate(near_gammas) >= best_gamma * (1 - _TIE_RTOL)]
     # Ascending distinct indices, so the first candidate is the smallest code.
     images = np.sort(np.concatenate(_orbit_images(N, tied)))
-    candidates = _index_codes(N, images[np.insert(images[1:] != images[:-1], 0, True)])
+    distinct = images[np.insert(images[1:] != images[:-1], 0, True)]
+    candidates = unpack_codes(distinct.astype(np.uint64)[:, None] << np.uint64(64 - N), N)
     return candidates[0], float(fitness_batch(candidates).max())

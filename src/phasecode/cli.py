@@ -81,14 +81,23 @@ def _parse_field(name: str, text: str):
         raise ValueError(f"{name} must be {kind.__name__}, got {text!r}") from None
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; text that is not UTF-8 is a config error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+                         f"at offset {exc.start})") from None
+
+
 def _load_config_file(path: str) -> tuple[dict, dict]:
-    """Flat key=value config text; '#' starts a comment.
+    """Flat key=value config text; '#' starts a comment; a key may be set once.
 
     Returns each key's value and the number of the line that set it.
     """
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -99,6 +108,9 @@ def _load_config_file(path: str) -> tuple[dict, dict]:
         val = val.strip()
         if key not in _SCALAR_FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: {key} is set again, "
+                             f"first on line {lines[key]}")
         try:
             values[key] = _parse_field(key, val)
         except ValueError as exc:
@@ -142,7 +154,7 @@ def _add_ga_flags(parser) -> None:
 
 def _read_code_arg(args):
     if args.file:
-        for line in Path(args.file).read_text().splitlines():
+        for line in _read_text(args.file).splitlines():
             if line.strip():
                 return parse_code(line)
         raise ValueError(f"no code found in {args.file}")
@@ -342,6 +354,8 @@ def cmd_bruteforce(args) -> int:
 
 def cmd_randomsearch(args) -> int:
     t0 = time.perf_counter()
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     # The work runs first, so a bad N or budget raises before --out is made.
     result = ga.random_search(args.N, args.budget, rng)

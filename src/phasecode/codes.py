@@ -62,7 +62,7 @@ def pack_codes(codes: np.ndarray) -> np.ndarray:
     """
     b, n = codes.shape
     bits = np.zeros((b, 64 * -(-n // 64)), dtype=bool)
-    bits[:, :n] = codes > 0
+    np.greater(codes, 0, out=bits[:, :n])
     return np.packbits(bits, axis=1).view(">u8").astype(np.uint64)
 
 
@@ -73,8 +73,10 @@ def unpack_codes(words: np.ndarray, N: int) -> np.ndarray:
         raise ValueError(f"length-{N} codes pack into {W} words, got {words.shape[1]}")
     if np.any(words[:, -1] & ~_HEAD_MASKS[(N - 1) % 64 + 1]):
         raise ValueError(f"words set a bit past symbol {N - 1} of a length-{N} code")
-    bits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=N)
-    return 2 * bits.view(CODE_DTYPE) - 1
+    codes = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=N).view(CODE_DTYPE)
+    codes *= 2  # bits 0/1 to symbols -1/+1, in place
+    codes -= 1
+    return codes
 
 
 # _HEAD_MASKS[k] is a word whose top k bits are set, k = 0..64.
@@ -176,7 +178,10 @@ def random_codes(count: int, N: int, rng: np.random.Generator) -> np.ndarray:
     """(count, N) matrix of independent uniform random codes (batch form)."""
     if N < 2:
         raise ValueError(f"code length must be >= 2, got {N}")
-    return (2 * rng.integers(0, 2, size=(count, N), dtype=np.int8) - 1).astype(CODE_DTYPE)
+    codes = rng.integers(0, 2, size=(count, N), dtype=CODE_DTYPE)
+    codes *= 2  # bits 0/1 to symbols -1/+1, in place
+    codes -= 1
+    return codes
 
 
 def _is_odd_prime(n: int) -> bool:

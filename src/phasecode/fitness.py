@@ -28,6 +28,15 @@ Two routes evaluate the quadratic form:
   D in O(N^2) and T x = s is never solved. The autocorrelation r(d) is
   taken as exact integer dot products of the +-1 symbols, not by FFT, so
   it needs no rounding.
+
+Each process scores its chunks in one work area (``_work``), grown to the
+largest chunk it has met and reused. Under glibc's default mmap threshold
+(128 KiB) a fresh (N, B) array of half a megabyte is a fresh mapping,
+whose pages fault in again on every chunk. In a fresh process on a 2-vCPU
+x86-64 VM, an N=59 chunk of 1,110 codes took 9.4-11.0 ms and 492 minor
+faults with fresh arrays, against 6.6-8.2 ms and none in a reused area.
+A pool worker keeps its area for its lifetime; the main process drops its
+own when ``fitness_batch`` returns, so it holds nothing between batches.
 """
 
 from __future__ import annotations
@@ -44,8 +53,11 @@ from .codes import PhaseCode, autocorrelation, lag_responses
 # bound the working set of the lag-major arrays. Each chunk pays a fixed cost
 # per Durbin step whatever its row count, so short codes get more rows per
 # chunk, and a batch is split evenly, leaving no short tail chunk. A code's
-# gamma does not depend on its chunk.
+# gamma does not depend on its chunk. One lag-major array of a chunk is
+# 512 KiB, above glibc's default 128 KiB mmap threshold, so the arrays live
+# in the reused work area ``_work`` rather than in fresh mappings.
 _CHUNK_SYMBOLS = 1 << 16
+_work = None  # this process's work area, made by ``_work_area`` on first use
 
 # ``pool_map`` runs on the worker pool (``_worker_pool``) only with at least
 # this many items per CPU. A pool ``map`` costs about 0.1 ms, yet pooling
@@ -121,6 +133,23 @@ def fitness(s: PhaseCode) -> float:
     return float("nan") if x is None else float(np.asarray(s, dtype=np.float64) @ x)
 
 
+def _work_area(n: int, b: int) -> list[np.ndarray]:
+    """Four (n, b) float64 arrays over this process's work area, grown to fit.
+
+    Each array is the head of its own flat buffer, so it is C-contiguous and
+    laid out as a fresh (n, b) array would be, whatever chunk grew the area.
+    The buffers are four allocations, not one: glibc raises its mmap
+    threshold to the size of a mapped block when it is freed, and one 2 MiB
+    area dropped after each in-process batch raised it so far that the
+    main process's ``search-n16`` peak grew by 1 MB.
+    """
+    global _work
+    if _work is None or _work[0].size < n * b:
+        _work = None  # drop the old area before making a larger one
+        _work = [np.empty(n * b) for _ in range(4)]
+    return [w[: n * b].reshape(n, b) for w in _work]
+
+
 def _fitness_chunk(codes: np.ndarray) -> np.ndarray:
     """Gammas for a (B, N) chunk of codes; NaN marks an undefined (singular-R) entry.
 
@@ -139,38 +168,54 @@ def _fitness_chunk(codes: np.ndarray) -> np.ndarray:
     out as num / (r(0) beta - num) with a single division. Summing
     t_k^2 / beta_k first and then forming q / (1 - q) rounds twice more
     (N = 2 gives 1.9999999999999998 instead of 2).
+
+    The lag-major arrays live in the work area (``_work_area``) and every
+    step writes its results with ``out=``, so a step makes no (k, B)
+    temporary.
     """
     b, n = codes.shape
-    # Lag-major (N, B) arrays: each step works on whole contiguous rows.
-    s_t = np.ascontiguousarray(codes.T, dtype=np.float64)
+    # Lag-major (N, B) arrays: each step works on whole contiguous rows. The
+    # reflection coefficient alpha of step k is stored as y[k] directly.
+    s_t, rho, y, axpy = _work_area(n, b)
+    s_t[...] = codes.T
     # r(d) sums products of +-1 symbols, so it is an exact integer whatever
     # the summation order. r(0) = s.s rather than N, so an all-zero row has
     # r(0) = 0 and fails the beta test below.
     r0 = np.einsum("ib,ib->b", s_t, s_t)
+    f, t = np.empty((2, b))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # rho[d - 1] = r(d) / r(0); the trailing zero row lets the last step
         # compute an (unused) reflection coefficient instead of branching.
-        rho = np.zeros((n, b))
         for d in range(1, n):
-            rho[d - 1] = np.einsum("ib,ib->b", s_t[: n - d], s_t[d:]) / r0
-        y = np.empty((n, b))  # Yule-Walker solution, built up in place
-        y[0] = alpha = -rho[0]
+            np.einsum("ib,ib->b", s_t[: n - d], s_t[d:], out=rho[d - 1])
+            rho[d - 1] /= r0
+        rho[n - 1] = 0.0
+        np.negative(rho[0], out=y[0])  # Yule-Walker solution, built up in place
         beta = np.ones(b)
         num = s_t[0] * s_t[0]
         ok = np.ones(b, dtype=bool)
         for k in range(1, n):
-            f = 1.0 - alpha * alpha
+            alpha = y[k - 1]  # untouched since step k - 1 set it
+            np.multiply(alpha, alpha, out=f)
+            np.subtract(1.0, f, out=f)
             beta *= f
             ok &= beta > 0
             # The reductions that round all read the reversed view y_rev, which
             # einsum sums in the same order for every chunk width, one row
             # included, so a code's gamma does not depend on its chunk.
             y_rev = y[k - 1 :: -1]
-            t = np.einsum("ib,ib->b", y_rev, s_t[:k]) + s_t[k]
-            num = num * f + t * t
-            alpha = -(rho[k] + np.einsum("ib,ib->b", rho[:k], y_rev)) / beta
-            y[:k] += alpha * y_rev
-            y[k] = alpha
+            np.einsum("ib,ib->b", y_rev, s_t[:k], out=t)
+            t += s_t[k]
+            num *= f
+            t *= t
+            num += t
+            alpha = y[k]
+            np.einsum("ib,ib->b", rho[:k], y_rev, out=alpha)
+            alpha += rho[k]
+            np.negative(alpha, out=alpha)
+            alpha /= beta
+            np.multiply(alpha, y_rev, out=axpy[:k])
+            y[:k] += axpy[:k]
         den = r0 * beta - num  # r(0) beta (1 - q)
         gamma = num / den
         ok &= den > _MIN_ONE_MINUS_Q * r0 * beta
@@ -345,9 +390,14 @@ def fitness_batch(codes: np.ndarray) -> np.ndarray:
     scored by ``pool_map`` and joined in chunk order. A code's gamma does not
     depend on its chunk, so the pool and this process give the same bytes.
     """
+    global _work
     codes = np.atleast_2d(codes)
     if codes.shape[0] == 0:
         return np.empty(0)
     b, n = codes.shape
     chunks = np.array_split(codes, -(-b * n // _CHUNK_SYMBOLS))
-    return np.concatenate(pool_map(_fitness_chunk, chunks))
+    try:
+        return np.concatenate(pool_map(_fitness_chunk, chunks))
+    finally:
+        if not _in_worker:  # a pool worker keeps its area for its next call
+            _work = None

@@ -427,6 +427,8 @@ def random_search(N: int, budget: int, rng: np.random.Generator) -> RunResult:
     Draws go through the cache, so repeated codes cost nothing and the
     visited-states count stays comparable with the genetic search.
     """
+    if N < 2:  # before the cache, which cannot key codes of no symbols
+        raise ValueError(f"code length must be >= 2, got {N}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     cache = ScoreCache(N)

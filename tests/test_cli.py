@@ -191,9 +191,12 @@ class TestSearchCommand:
     ])
     def test_bad_config_value_names_file_and_line(self, tmp_path, capsys, line, message):
         # A range error, one that spans two keys and a type error all name
-        # the file and the line that set the rejected value.
+        # the file and the line that set the rejected value. A key may be set
+        # once, so the base line of the row's key is left as a comment.
+        base = [f"# {kv}" if kv.split()[0] == line.split()[0] else kv
+                for kv in ("N = 16", "P = 120", "E = 24")]
         cfg = tmp_path / "ga.conf"
-        cfg.write_text(f"# small\nN = 16\nP = 120\nE = 24\n{line}\n")
+        cfg.write_text("\n".join(["# small", *base, line]) + "\n")
         out = tmp_path / "runs"
         assert main(["search", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:5: {message}\n"
@@ -492,6 +495,35 @@ class TestSimulateCommand:
         assert analytic == pytest.approx(fitness(parse_code("+1,+1,-1,+1,-1")), abs=1e-6)
 
 
+# Input files that some rejected commands read, by the name their argv uses.
+_INPUT_FILES = {
+    "twice.conf": b"N = 12\n# N_G = 5\nN = 13\n",
+    "latin1.conf": b"N = 12  # L\xf6nge\n",
+    "latin1.txt": b"+1,-1,+1\n\xff\n",
+}
+
+
+def _with_input_files(argv, tmp_path):
+    """``argv`` with each ``_INPUT_FILES`` name replaced by that file, written under ``tmp_path``."""
+    for name, data in _INPUT_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    return [str(tmp_path / a) if a in _INPUT_FILES else a for a in argv]
+
+
+# Rejected commands whose whole error line is pinned: each names the
+# argument, config line or file at fault.
+_NAMED_REJECTIONS = [
+    (["randomsearch", "0", "10"], "code length must be >= 2, got 0"),
+    (["randomsearch", "-2", "10"], "code length must be >= 2, got -2"),
+    (["randomsearch", "12", "10", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["search", "--config", "twice.conf"], "{tmp}/twice.conf:3: N is set again, first on line 1"),
+    (["search", "--config", "latin1.conf"],
+     "{tmp}/latin1.conf: not UTF-8 text (byte 0xf6 at offset 11)"),
+    (["simulate", "--file", "latin1.txt"],
+     "{tmp}/latin1.txt: not UTF-8 text (byte 0xff at offset 9)"),
+]
+
+
 class TestCliPlumbing:
     def test_every_result_record_ends_with_the_run_block(self, tmp_path):
         ga_args = ["--N", "10", "--N_G", "1", "--P", "20", "--E", "4", "--M", "2"]
@@ -536,13 +568,21 @@ class TestCliPlumbing:
             ["study", "--variable", "wing_area", "--values", "1"],
             ["study", "--variable", "M", "--values"],
             ["study", "--variable", "M"],
+            *(argv for argv, _ in _NAMED_REJECTIONS),
         ],
     )
     def test_rejected_command_writes_nothing(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
-        assert main([*argv, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert main([*_with_input_files(argv, tmp_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", _NAMED_REJECTIONS)
+    def test_rejection_names_what_is_wrong(self, tmp_path, capsys, argv, message):
+        argv = _with_input_files(argv, tmp_path)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
 
     @pytest.mark.parametrize("command", ["search", "sweep", "study"])
     def test_help_lists_the_shared_flags(self, capsys, command):

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 
 from phasecode import baselines
 from phasecode.cli import main
-from phasecode.codes import as_code, lag_responses, shifted
+from phasecode.codes import as_code, lag_responses, random_codes, shifted
 from phasecode.echo import empirical_sir
 from phasecode.fitness import (
     build_clutter_matrix,
@@ -369,9 +370,78 @@ class TestFitnessBatch:
         assert np.array_equal(np.concatenate(chunks), codes)
 
 
+@pytest.fixture
+def no_area(monkeypatch):
+    """No work area in this process before the test, and none left after it."""
+    monkeypatch.setattr(fitness_module, "_work", None)
+
+
+def _chunk_shape(n):
+    """The (rows, n) shape of a full scoring chunk of length-n codes."""
+    return fitness_module._CHUNK_SYMBOLS // n, n
+
+
+class TestWorkArea:
+    """Each process scores its chunks in one reused work area (``_work``)."""
+
+    def test_second_chunk_of_a_shape_allocates_less_than_one_array(self, no_area):
+        b, n = _chunk_shape(59)
+        codes = random_codes(2 * b, n, np.random.default_rng(120))
+        fitness_module._fitness_chunk(codes[:b])
+        tracemalloc.start()
+        try:
+            fitness_module._fitness_chunk(codes[b:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * b * np.dtype(np.float64).itemsize
+
+    def test_chunk_widths_agree_with_the_oracle(self, no_area):
+        # A full chunk grows the area; one row then uses a sliver of it, and
+        # a chunk wider than the area grows it again.
+        b, n = _chunk_shape(59)
+        codes = random_codes(b + 7, n, np.random.default_rng(121))
+        sizes = []
+        for width in (b, 1, b + 7):
+            got = fitness_module._fitness_chunk(codes[:width])
+            sizes.append(fitness_module._work[0].size)
+            want = np.array([fitness(c) for c in codes[:width]])
+            assert np.all(np.abs(got - want) <= 1e-12 * want), width
+        assert sizes == [n * b, n * b, n * (b + 7)]
+
+    def test_main_process_holds_no_area_after_a_batch(self, no_area, monkeypatch):
+        held = []
+
+        def chunk_then_look(codes):
+            gammas = score_chunk(codes)
+            held.append(fitness_module._work is not None)
+            return gammas
+
+        # One chunk, so it is scored in this process, where the patch applies.
+        score_chunk = fitness_module._fitness_chunk
+        monkeypatch.setattr(fitness_module, "_fitness_chunk", chunk_then_look)
+        b, n = _chunk_shape(59)
+        fitness_batch(random_codes(b, n, np.random.default_rng(122)))
+        assert held == [True]
+        assert fitness_module._work is None
+
+    def test_import_makes_no_area(self):
+        script = ("import sys, phasecode.fitness\n"
+                  "print(sys.modules['phasecode.fitness']._work is None)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
+
+
 def _kill_worker(*_):
     """A ``_fitness_chunk`` or ``_orbit_block`` stand-in that kills the pool worker running it."""
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _area_size(_):
+    """The length of each work-area buffer (0 for none) of the process that runs this call."""
+    return 0 if fitness_module._work is None else fitness_module._work[0].size
 
 
 def _batch_and_pool_state(codes):
@@ -422,6 +492,14 @@ class TestWorkerPool:
         assert fitness_module._pool is not None  # the batch went to the pool
         want = [fitness_module._fitness_chunk(c) for c in np.array_split(codes, THRESHOLD)]
         assert got.tobytes() == np.concatenate(want).tobytes()
+
+    @needs_pool
+    def test_workers_keep_their_area_between_batches(self, fresh_pool, no_area):
+        # The workers are forked with no area to inherit; each scores a chunk
+        # of the batch and still holds its area afterwards.
+        fitness_batch(_pool_batch(59, THRESHOLD, seed=112))
+        sizes = fitness_module.pool_map(_area_size, range(THRESHOLD))
+        assert min(sizes) >= 59 * (fitness_module._CHUNK_SYMBOLS // 59)
 
     @needs_pool
     def test_batch_below_threshold_stays_in_process(self, fresh_pool):
